@@ -19,6 +19,9 @@ cargo build --release
 echo "==> tier-1 verify: cargo test -q"
 cargo test -q
 
+echo "==> workspace tests: every crate's unit and integration suites (crates/*/tests)"
+cargo test --workspace -q
+
 echo "==> chaos soak: fault-injected session must match the fault-free baseline"
 cargo test --release -q --test chaos_session
 

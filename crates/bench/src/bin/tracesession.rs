@@ -30,8 +30,8 @@ use vcad_ip::{ClientSession, ComponentOffering, IpCache, ProviderServer};
 use vcad_logic::LogicVec;
 use vcad_obs::{chrome, Collector};
 use vcad_rmi::{
-    BreakerConfig, FaultConfig, FaultPlan, FaultyTransport, ResilientTransport, RetryPolicy,
-    TcpServer, TcpTimeouts, TcpTransport, Transport, VirtualClock,
+    BreakerConfig, FaultConfig, FaultPlan, FaultyTransport, MuxServer, MuxServerConfig,
+    ResilientTransport, RetryPolicy, TcpTimeouts, TcpTransport, Transport, VirtualClock,
 };
 
 /// Far above any loopback round trip, far below a CI job timeout.
@@ -39,7 +39,7 @@ const SOCKET_BUDGET: Duration = Duration::from_secs(10);
 
 /// Connects one resilient, chaos-shaped session to `server`'s TCP port.
 fn connect(
-    tcp: &TcpServer,
+    tcp: &MuxServer,
     host: &str,
     seed: u64,
     obs: &Collector,
@@ -126,7 +126,9 @@ fn main() {
         let server = ProviderServer::with_collector(*host, provider_obs.clone());
         server.offer(ComponentOffering::fast_low_power_multiplier());
         server.offer(ComponentOffering::baseline_multiplier());
-        let tcp = TcpServer::bind("127.0.0.1:0", server.dispatcher()).expect("bind provider");
+        let tcp = server
+            .serve_mux("127.0.0.1:0", MuxServerConfig::default())
+            .expect("bind provider");
         // The second provider's session memoizes calls client-side, so
         // the dumps (and `--health`) also show cache hit spans/ratios.
         let cache = (i == 1)

@@ -21,25 +21,33 @@ use vcad_rmi::{
 use crate::offering::ComponentOffering;
 use crate::protocol::{catalog, component, decode_patterns};
 
-/// The provider's fee ledger: every chargeable call appends an entry.
+/// The provider's fee ledger: a running count and total of chargeable
+/// calls, kept in constant space for the life of the provider.
 ///
 /// When a call arrives through a tenant-stamped frame (see
 /// [`vcad_rmi::CallFrame`]), the dispatcher publishes the tenant id for
 /// the duration of the call and the ledger attributes the fee to that
 /// tenant as well as to the global totals. Anonymous (v1) calls land in
 /// the global totals only.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ServerLedger {
-    entries: Mutex<Vec<(String, f64)>>,
+    /// `(charge count, total cents)`, summed in charge order.
+    totals: Mutex<(usize, f64)>,
     tenant_totals: Mutex<std::collections::BTreeMap<String, (u64, f64)>>,
     obs: Collector,
+}
+
+impl Default for ServerLedger {
+    fn default() -> ServerLedger {
+        ServerLedger::new()
+    }
 }
 
 impl ServerLedger {
     /// Creates an empty ledger.
     #[must_use]
     pub fn new() -> ServerLedger {
-        ServerLedger::default()
+        ServerLedger::with_collector(Collector::default())
     }
 
     /// Creates a ledger that also mirrors every charge into `obs`
@@ -47,7 +55,10 @@ impl ServerLedger {
     #[must_use]
     pub fn with_collector(obs: Collector) -> ServerLedger {
         ServerLedger {
-            entries: Mutex::new(Vec::new()),
+            // `-0.0` is the exact additive identity — the same start
+            // `Iterator::sum` uses — so even an empty ledger reports the
+            // total a sum over every charge would.
+            totals: Mutex::new((0, -0.0)),
             tenant_totals: Mutex::new(std::collections::BTreeMap::new()),
             obs,
         }
@@ -78,7 +89,9 @@ impl ServerLedger {
             // fee-ledger bucket, parented under the ambient dispatch span.
             let mut span = self.obs.traced_span("ip", format!("charge:{what}"));
             span.arg("cents", cents);
-            self.entries.lock().unwrap().push((what, cents));
+            let mut totals = self.totals.lock().unwrap();
+            totals.0 += 1;
+            totals.1 += cents;
         }
     }
 
@@ -92,13 +105,13 @@ impl ServerLedger {
     /// Total charged so far, in cents.
     #[must_use]
     pub fn total_cents(&self) -> f64 {
-        self.entries.lock().unwrap().iter().map(|(_, c)| c).sum()
+        self.totals.lock().unwrap().1
     }
 
     /// Number of chargeable calls recorded.
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.totals.lock().unwrap().0
     }
 
     /// Total charged to one tenant, in cents (0.0 if unknown).

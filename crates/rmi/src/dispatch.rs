@@ -1,6 +1,7 @@
 //! The server side: exported objects and call dispatch.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -273,6 +274,10 @@ impl Dispatcher {
     /// it becomes ambient for the call's duration: the dispatch span —
     /// and every provider-side span opened beneath it (estimator
     /// compute, fee ledger) — parents under the client's call span.
+    ///
+    /// A provider method that panics is answered with
+    /// [`RemoteErrorKind::Internal`] and counted in
+    /// `rmi.dispatch.panics`; the serving thread lives on.
     #[must_use]
     pub fn handle(&self, call: &CallFrame) -> ResponseFrame {
         if let Some(admission) = &self.admission {
@@ -301,7 +306,18 @@ impl Dispatcher {
         let mut span = self
             .obs
             .traced_span("rmi", format!("dispatch:{}", call.method));
-        let result = self.dispatch(call);
+        // A panicking provider method must not take its worker thread
+        // down with it: the caller gets a typed error instead. The
+        // message names the method only — a panic payload may describe
+        // provider internals.
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(call)))
+            .unwrap_or_else(|_| {
+                self.obs.metrics().counter("rmi.dispatch.panics").inc();
+                Err(RmiError::Remote {
+                    kind: RemoteErrorKind::Internal,
+                    message: format!("method `{}` panicked", call.method),
+                })
+            });
         let metrics = self.obs.metrics();
         metrics.counter("rmi.dispatch.calls").inc();
         if result.is_err() {

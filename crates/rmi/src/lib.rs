@@ -15,8 +15,12 @@
 //!   object, method name and arguments;
 //! * [`Transport`] — the pluggable request/response channel, with
 //!   in-process ([`InProcTransport`]), threaded channel
-//!   ([`ChannelTransport`]), real TCP ([`TcpTransport`]/[`TcpServer`]) and
+//!   ([`ChannelTransport`]), real TCP ([`TcpTransport`]) and
 //!   network-model-shaped ([`ShapedTransport`]) implementations;
+//! * [`MuxServer`] — the provider's one TCP server: a blocking accept
+//!   thread, a reader thread per live connection (capped by
+//!   `max_connections`), and a bounded queue drained by a fixed worker
+//!   pool, shedding overflow as a typed, retryable `Overloaded`;
 //! * [`ObjectRegistry`] + [`Dispatcher`] — the server side: exported
 //!   objects implementing [`RemoteObject`], addressed by [`ObjectId`];
 //! * [`Client`] + [`RemoteRef`] — the client side: typed handles that
@@ -103,8 +107,8 @@ pub use resilience::{
 };
 pub use security::{Capability, MarshalPolicy, Sandbox, SecurityManager};
 pub use transport::{
-    ChannelTransport, InProcTransport, ShapedTransport, TcpServer, TcpTimeouts, TcpTransport,
-    Transport, TransportStats,
+    ChannelTransport, InProcTransport, ShapedTransport, TcpTimeouts, TcpTransport, Transport,
+    TransportStats,
 };
 pub use value::{ObjectId, Value};
 pub use wire::{WireError, WireReader, WireWriter};

@@ -1,35 +1,36 @@
-//! The connection-multiplexing server: one non-blocking poll loop, a
-//! bounded frame queue, and a fixed worker pool.
+//! The provider's TCP server: one blocking accept thread, one blocking
+//! reader thread per live connection, a bounded frame queue, and a
+//! fixed worker pool.
 //!
-//! [`TcpServer`](crate::TcpServer) spawns a thread per connection — fine
-//! for a handful of sessions, unbounded for the paper's "many
-//! simultaneous fee-paying users". [`MuxServer`] serves hundreds of
-//! connections from a constant number of threads instead:
+//! JavaCAD providers serve the paper's "many simultaneous fee-paying
+//! users" through one RMI server; [`MuxServer`] is that server:
 //!
-//! * one poll thread owns the listener and every connection socket (all
-//!   non-blocking), accumulates bytes into per-connection buffers, and
-//!   cuts complete length-prefixed frames out of them;
+//! * the accept thread blocks in `accept` and refuses sockets beyond
+//!   `max_connections` by closing them (clients see a retryable
+//!   transport error). The cap counts *live* connections, so a slot
+//!   frees as soon as its client disconnects;
+//! * each live connection has one reader thread blocked in a frame
+//!   read. A length prefix beyond the frame cap closes the connection.
+//!   The first tenant-stamped frame registers the connection's session
+//!   with the dispatcher's admission gate;
 //! * complete frames enter a *bounded* queue. When the queue is full the
-//!   poll thread sheds the frame right there with a typed, retryable
+//!   reader sheds the frame right there with a typed, retryable
 //!   [`RemoteErrorKind::Overloaded`](crate::RemoteErrorKind) response —
-//!   backpressure costs one small write, never a blocked accept loop;
+//!   backpressure costs one small write, never a blocked reader;
 //! * `workers` threads drain the queue through the shared
 //!   [`Dispatcher`] (which applies per-tenant admission when configured)
 //!   and write responses back through per-connection write halves.
 //!
-//! Everything is `std::net` — no `mio`, no epoll binding — so the loop
-//! is a plain poll-and-sleep: perfectly deterministic to test against
-//! and fast enough for the few hundred sockets the load generator
-//! drives.
+//! The server runs accept + `workers` + live-connection threads, so
+//! `max_connections` also caps its thread count. Dropping it shuts
+//! every connection socket down and joins every thread.
 
 use std::collections::HashMap;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use vcad_obs::Collector;
 
@@ -37,7 +38,7 @@ use crate::dispatch::Dispatcher;
 use crate::error::{RemoteErrorKind, RmiError};
 use crate::frame::{Frame, ResponseFrame};
 use crate::resilience::{decode_tracked_call, encode_tracked_resp_ok, TAG_TRACKED_CALL};
-use crate::transport::write_frame;
+use crate::transport::{read_frame, write_frame};
 
 /// Tuning knobs for a [`MuxServer`].
 #[derive(Clone, Debug)]
@@ -68,15 +69,6 @@ struct Job {
     write: Arc<Mutex<TcpStream>>,
 }
 
-struct Conn {
-    stream: TcpStream,
-    write: Arc<Mutex<TcpStream>>,
-    buf: Vec<u8>,
-    /// The tenant this connection's session is registered under, once a
-    /// tenant-stamped frame has been seen.
-    tenant: Option<String>,
-}
-
 /// Aggregate counters the load generator reads after a run.
 #[derive(Clone, Debug, Default)]
 pub struct MuxServerStats {
@@ -90,26 +82,31 @@ pub struct MuxServerStats {
     pub enqueued: u64,
 }
 
+/// Live connections by id: a handle on the socket (to shut it down)
+/// and the reader thread serving it (to join it).
+type Conns = HashMap<u64, (TcpStream, JoinHandle<()>)>;
+
 struct Shared {
     dispatcher: Arc<Dispatcher>,
     obs: Collector,
     shutdown: AtomicBool,
     queue_depth: AtomicUsize,
     stats: Mutex<MuxServerStats>,
+    conns: Mutex<Conns>,
 }
 
-/// The multiplexing TCP server. Stops — joining the poll thread and
-/// every worker — when dropped.
+/// The multiplexing TCP server. Stops — closing every connection and
+/// joining every thread — when dropped.
 pub struct MuxServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    poll_handle: Option<JoinHandle<()>>,
+    accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
 }
 
 impl MuxServer {
-    /// Binds to `addr` (port `0` for ephemeral) and starts the poll
-    /// loop plus worker pool, all serving `dispatcher`.
+    /// Binds to `addr` (port `0` for ephemeral) and starts the accept
+    /// thread plus worker pool, all serving `dispatcher`.
     ///
     /// # Errors
     ///
@@ -136,20 +133,17 @@ impl MuxServer {
     ) -> Result<MuxServer, RmiError> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| RmiError::Transport(format!("bind {addr}: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| RmiError::Transport(format!("set_nonblocking: {e}")))?;
         let local = listener
             .local_addr()
             .map_err(|e| RmiError::Transport(format!("local_addr: {e}")))?;
 
-        let obs = obs.clone();
         let shared = Arc::new(Shared {
             dispatcher,
-            obs,
+            obs: obs.clone(),
             shutdown: AtomicBool::new(false),
             queue_depth: AtomicUsize::new(0),
             stats: Mutex::new(MuxServerStats::default()),
+            conns: Mutex::new(HashMap::new()),
         });
 
         let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(config.queue_capacity.max(1));
@@ -166,16 +160,16 @@ impl MuxServer {
             );
         }
 
-        let poll_shared = Arc::clone(&shared);
-        let poll_handle = std::thread::Builder::new()
-            .name("vcad-rmi-mux-poll".into())
-            .spawn(move || poll_loop(&listener, &tx, &poll_shared, &config))
-            .expect("spawn mux poll thread");
+        let accept_shared = Arc::clone(&shared);
+        let accept_handle = std::thread::Builder::new()
+            .name("vcad-rmi-mux-accept".into())
+            .spawn(move || accept_loop(&listener, &tx, &accept_shared, config.max_connections))
+            .expect("spawn mux accept thread");
 
         Ok(MuxServer {
             addr: local,
             shared,
-            poll_handle: Some(poll_handle),
+            accept_handle: Some(accept_handle),
             worker_handles,
         })
     }
@@ -196,11 +190,22 @@ impl MuxServer {
 impl Drop for MuxServer {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.poll_handle.take() {
+        // Unblock the accept thread with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // The poll loop dropped its sender on exit; workers drain what
-        // is left and exit on the closed channel.
+        // Shut every live socket down — each reader's blocking read
+        // returns at once — then join the readers.
+        let conns = std::mem::take(&mut *self.shared.conns.lock().unwrap());
+        for (stream, _) in conns.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        for (_, reader) in conns.into_values() {
+            let _ = reader.join();
+        }
+        // The accept thread and the readers held every queue sender;
+        // workers drain what is left and exit on the closed channel.
         for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
@@ -221,163 +226,108 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Arc<Shared>) {
     }
 }
 
-fn poll_loop(
+fn accept_loop(
     listener: &TcpListener,
     tx: &SyncSender<Job>,
     shared: &Arc<Shared>,
-    config: &MuxServerConfig,
+    max_connections: usize,
 ) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_conn_id: u64 = 0;
-    let mut scratch = [0u8; 64 * 1024];
     let metrics = shared.obs.metrics();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let mut progressed = false;
-
-        // Accept everything pending, up to the connection cap.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    progressed = true;
-                    if conns.len() >= config.max_connections {
-                        // Refuse by closing: the client surfaces a
-                        // retryable transport error.
-                        shared.stats.lock().unwrap().rejected_connections += 1;
-                        metrics.counter("server.conn_rejected").inc();
-                        drop(stream);
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    // Responses are small frames written one at a time;
-                    // without nodelay, Nagle against the client's
-                    // delayed ACK costs tens of milliseconds per call.
-                    let _ = stream.set_nodelay(true);
-                    let Ok(write) = stream.try_clone() else {
-                        continue;
-                    };
-                    shared.stats.lock().unwrap().accepted += 1;
-                    metrics.counter("server.accepted").inc();
-                    conns.insert(
-                        next_conn_id,
-                        Conn {
-                            stream,
-                            write: Arc::new(Mutex::new(write)),
-                            buf: Vec::new(),
-                            tenant: None,
-                        },
-                    );
-                    next_conn_id += 1;
-                    metrics.gauge("server.connections").set(conns.len() as u64);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
-
-        // Pump every connection.
-        let mut dead: Vec<u64> = Vec::new();
-        for (&id, conn) in &mut conns {
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        dead.push(id);
-                        break;
-                    }
-                    Ok(n) => {
-                        progressed = true;
-                        conn.buf.extend_from_slice(&scratch[..n]);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        dead.push(id);
-                        break;
-                    }
-                }
-            }
-            // Cut complete frames out of the buffer.
-            while let Some(frame) = take_frame(&mut conn.buf) {
-                progressed = true;
-                register_session(shared, conn, &frame);
-                let job = Job {
-                    bytes: frame,
-                    write: Arc::clone(&conn.write),
-                };
-                match tx.try_send(job) {
-                    Ok(()) => {
-                        shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-                        shared.stats.lock().unwrap().enqueued += 1;
-                        let depth = shared.queue_depth.load(Ordering::Relaxed) as u64;
-                        metrics.gauge("server.queue_depth").set(depth);
-                    }
-                    Err(TrySendError::Full(job)) => {
-                        shared.stats.lock().unwrap().queue_shed += 1;
-                        metrics.counter("server.queue_shed").inc();
-                        shed_job(&job);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
+        let Ok(stream) = stream else { continue };
+        let mut conns = shared.conns.lock().unwrap();
+        if conns.len() >= max_connections {
+            drop(conns);
+            // Refuse by closing (when `stream` drops): the client
+            // surfaces a retryable transport error.
+            shared.stats.lock().unwrap().rejected_connections += 1;
+            metrics.counter("server.conn_rejected").inc();
+            continue;
         }
-        for id in dead {
-            if let Some(conn) = conns.remove(&id) {
-                if let (Some(tenant), Some(admission)) =
-                    (&conn.tenant, shared.dispatcher.admission())
-                {
-                    admission.close_session(tenant);
-                }
-            }
-            metrics.gauge("server.connections").set(conns.len() as u64);
-        }
-
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(500));
-        }
+        // Responses are small frames written one at a time; without
+        // nodelay, Nagle against the client's delayed ACK costs tens of
+        // milliseconds per call.
+        let _ = stream.set_nodelay(true);
+        let (Ok(handle), Ok(write)) = (stream.try_clone(), stream.try_clone()) else {
+            continue;
+        };
+        let (tx, reader_shared) = (tx.clone(), Arc::clone(shared));
+        // Spawned under the `conns` lock, so the reader's own removal
+        // on disconnect always finds its entry.
+        let Ok(reader) = std::thread::Builder::new()
+            .name(format!("vcad-rmi-mux-conn-{id}"))
+            .spawn(move || serve_connection(id, stream, write, &tx, &reader_shared))
+        else {
+            continue;
+        };
+        conns.insert(id, (handle, reader));
+        metrics.gauge("server.connections").set(conns.len() as u64);
+        shared.stats.lock().unwrap().accepted += 1;
+        metrics.counter("server.accepted").inc();
     }
-    // Shutdown: close every socket so blocked clients fail fast.
-    for (_, conn) in conns.drain() {
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        if let (Some(tenant), Some(admission)) = (&conn.tenant, shared.dispatcher.admission()) {
-            admission.close_session(tenant);
-        }
-    }
-    // Dropping `tx` (by returning) closes the queue; workers drain what
-    // is left and exit.
+    // Returning drops this thread's queue sender.
 }
 
-/// Removes and returns the first complete length-prefixed frame from
-/// `buf`, if one has fully arrived.
-fn take_frame(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
-    if buf.len() < 4 {
-        return None;
+/// Reads frames off one connection until it closes, queueing each for
+/// the worker pool (or shedding it when the queue is full), then
+/// releases the connection's tenant session and its slot.
+fn serve_connection(
+    id: u64,
+    mut stream: TcpStream,
+    write: TcpStream,
+    tx: &SyncSender<Job>,
+    shared: &Arc<Shared>,
+) {
+    let write = Arc::new(Mutex::new(write));
+    let metrics = shared.obs.metrics();
+    // Set by the first tenant-stamped frame; see `open_session`.
+    let mut session = None;
+    while let Ok(bytes) = read_frame(&mut stream) {
+        if session.is_none() {
+            session = open_session(shared, &bytes);
+        }
+        let job = Job {
+            bytes,
+            write: Arc::clone(&write),
+        };
+        // Counted before the send: a worker may dequeue (and decrement)
+        // the job before `try_send` even returns.
+        let depth = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        match tx.try_send(job) {
+            Ok(()) => {
+                shared.stats.lock().unwrap().enqueued += 1;
+                metrics.gauge("server.queue_depth").set(depth as u64);
+            }
+            Err(TrySendError::Full(job)) => {
+                shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                shared.stats.lock().unwrap().queue_shed += 1;
+                metrics.counter("server.queue_shed").inc();
+                shed_job(&job);
+            }
+            Err(TrySendError::Disconnected(_)) => break,
+        }
     }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if buf.len() < 4 + len {
-        return None;
+    if let (Some(Some(tenant)), Some(admission)) = (session, shared.dispatcher.admission()) {
+        admission.close_session(&tenant);
     }
-    let frame = buf[4..4 + len].to_vec();
-    buf.drain(..4 + len);
-    Some(frame)
+    let mut conns = shared.conns.lock().unwrap();
+    conns.remove(&id);
+    metrics.gauge("server.connections").set(conns.len() as u64);
 }
 
-/// Binds the connection to its tenant's session on the first stamped
-/// frame seen, registering it with the dispatcher's admission gate.
-fn register_session(shared: &Arc<Shared>, conn: &mut Conn, frame: &[u8]) {
-    if conn.tenant.is_some() {
-        return;
-    }
-    let Some(admission) = shared.dispatcher.admission() else {
-        return;
-    };
-    let Some(tenant) = peek_tenant(frame) else {
-        return;
-    };
-    // Session-cap overflow is not fatal: the connection stays usable,
-    // only unregistered — per-call admission still applies.
-    let _ = admission.open_session(&tenant);
-    conn.tenant = Some(tenant);
+/// Registers the connection's tenant session on the first stamped frame
+/// seen. Returns `None` while there is nothing to register (no admission
+/// gate, or an unstamped frame); otherwise `Some` of the tenant whose
+/// session is now open, or `Some(None)` when the session cap refused it.
+/// A refused connection stays usable, only unregistered — per-call
+/// admission still applies — and must not close a session it never held.
+fn open_session(shared: &Shared, frame: &[u8]) -> Option<Option<String>> {
+    let admission = shared.dispatcher.admission()?;
+    let tenant = peek_tenant(frame)?;
+    Some(admission.open_session(&tenant).then_some(tenant))
 }
 
 /// Decodes just far enough to find the tenant stamp, unwrapping a

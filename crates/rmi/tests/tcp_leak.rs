@@ -1,15 +1,15 @@
-//! Regression: dropping a [`TcpServer`] must close every accepted
-//! connection and join every handler thread — not just the accept
-//! thread. The original implementation parked one thread per accepted
-//! connection in a blocking read forever, leaking threads and sockets
-//! until process exit.
+//! Regression: dropping a [`MuxServer`] must close every accepted
+//! connection and join every reader thread — not just the accept
+//! thread. A server that parks one thread per connection in a blocking
+//! read must shut those sockets down on drop, or it leaks threads and
+//! sockets until process exit.
 
 use std::io::{ErrorKind, Read};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vcad_rmi::{Dispatcher, ObjectRegistry, TcpServer};
+use vcad_rmi::{Dispatcher, MuxServer, MuxServerConfig, ObjectRegistry};
 
 /// Far above any loopback latency, far below a CI job timeout.
 const BUDGET: Duration = Duration::from_secs(5);
@@ -17,11 +17,12 @@ const BUDGET: Duration = Duration::from_secs(5);
 #[test]
 fn dropping_the_server_closes_every_accepted_connection() {
     let dispatcher = Arc::new(Dispatcher::new(Arc::new(ObjectRegistry::new())));
-    let server = TcpServer::bind("127.0.0.1:0", dispatcher).expect("bind");
+    let server =
+        MuxServer::bind("127.0.0.1:0", dispatcher, MuxServerConfig::default()).expect("bind");
     let addr = server.addr();
 
-    // Idle clients: each parks a handler thread in a blocking frame
-    // read — exactly the state the old Drop leaked.
+    // Idle clients: each parks a reader thread in a blocking frame
+    // read — exactly the state a careless Drop leaks.
     let mut clients: Vec<TcpStream> = (0..8)
         .map(|_| TcpStream::connect(addr).expect("connect"))
         .collect();
@@ -33,13 +34,13 @@ fn dropping_the_server_closes_every_accepted_connection() {
     let drop_took = started.elapsed();
     assert!(
         drop_took < BUDGET,
-        "server drop blocked for {drop_took:?} — handler threads not joined"
+        "server drop blocked for {drop_took:?} — reader threads not joined"
     );
 
     // Every client socket must now be closed by the server side: a read
     // sees EOF or a reset promptly, never data and never a timeout
     // (a timeout would mean the server half is still open somewhere —
-    // i.e. a leaked handler thread still owns it).
+    // i.e. a leaked reader thread still owns it).
     for (i, client) in clients.iter_mut().enumerate() {
         client
             .set_read_timeout(Some(BUDGET))
@@ -59,7 +60,8 @@ fn dropping_the_server_closes_every_accepted_connection() {
 #[test]
 fn server_drop_is_clean_with_no_connections() {
     let dispatcher = Arc::new(Dispatcher::new(Arc::new(ObjectRegistry::new())));
-    let server = TcpServer::bind("127.0.0.1:0", dispatcher).expect("bind");
+    let server =
+        MuxServer::bind("127.0.0.1:0", dispatcher, MuxServerConfig::default()).expect("bind");
     let started = Instant::now();
     drop(server);
     assert!(started.elapsed() < BUDGET);

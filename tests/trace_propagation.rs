@@ -17,8 +17,8 @@ use vcad::obs::chrome::{parse_chrome_json, to_chrome_json, ProcessLane};
 use vcad::obs::Collector;
 use vcad::rmi::{
     BreakerConfig, FaultConfig, FaultPlan, FaultyTransport, Frame, InProcTransport,
-    ResilientTransport, RetryPolicy, RmiError, TcpServer, TcpTimeouts, TcpTransport, Transport,
-    TransportStats, VirtualClock,
+    MuxServerConfig, ResilientTransport, RetryPolicy, RmiError, TcpTimeouts, TcpTransport,
+    Transport, TransportStats, VirtualClock,
 };
 
 /// Far above any loopback round trip, far below a CI job timeout.
@@ -139,7 +139,9 @@ fn context_round_trips_over_tcp() {
     let client_obs = Collector::enabled().with_process_name("client");
     let provider_obs = Collector::enabled().with_process_name("provider");
     let server = provider("tcp-provider.example.com", provider_obs.clone());
-    let tcp = TcpServer::bind("127.0.0.1:0", server.dispatcher()).unwrap();
+    let tcp = server
+        .serve_mux("127.0.0.1:0", MuxServerConfig::default())
+        .unwrap();
     let transport: Arc<dyn Transport> = Arc::new(
         TcpTransport::connect_with_timeouts_and_collector(
             tcp.addr(),
