@@ -11,7 +11,8 @@ use vcad_bench::microbench::Group;
 use vcad_bench::workload::random_patterns;
 use vcad_core::EngineKind;
 use vcad_faults::{
-    BitParallelSim, DetectionTable, FaultUniverse, NetlistDetectionSource, SerialFaultSim,
+    BitParallelSim, DetectionTable, DetectionTableSource, FaultUniverse, NetlistDetectionSource,
+    SerialFaultSim,
 };
 use vcad_logic::LogicVec;
 use vcad_netlist::generators::{self, RandomCircuitSpec};
@@ -44,21 +45,18 @@ fn bench_detection_tables() {
     let mut group = Group::new("detection_tables")
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
-    for width in [4usize, 6] {
+    for width in [4usize, 6, 8] {
         let nl = Arc::new(generators::wallace_multiplier(width));
-        let universe = FaultUniverse::collapsed(&nl);
         let inputs = LogicVec::from_u64(2 * width, 0xA5A5 & ((1 << (2 * width)) - 1));
-        group.bench(format!("build/{width}"), || {
-            black_box(DetectionTable::build(&nl, &universe, &inputs));
-        });
-        group.bench(format!("build_compiled/{width}"), || {
-            black_box(DetectionTable::build_with(
-                &nl,
-                &universe,
-                &inputs,
-                EngineKind::Compiled,
-            ));
-        });
+        // What a provider runs per request: one source, built once,
+        // answering table after table.
+        for engine in EngineKind::ALL {
+            let source = NetlistDetectionSource::new(Arc::clone(&nl)).with_engine(engine);
+            group.bench(format!("source/{engine}/{width}"), || {
+                black_box(source.detection_table(&inputs).expect("matching width"));
+            });
+        }
+        let universe = FaultUniverse::collapsed(&nl);
         let table = DetectionTable::build(&nl, &universe, &inputs);
         group.bench(format!("marshal/{width}"), || {
             black_box(table.to_value().encode());

@@ -278,6 +278,26 @@ impl CompiledNetlist {
         }
     }
 
+    /// Packs one pattern into all 64 lanes, each lane a full copy — the
+    /// transposed parallel-fault layout, where every lane runs the same
+    /// pattern under its own lane-masked fault.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern's width differs from the input count.
+    #[must_use]
+    pub fn broadcast(&self, pattern: &LogicVec) -> PackedPatterns {
+        assert_eq!(
+            pattern.width(),
+            self.input_count(),
+            "pattern width must match the netlist's input count"
+        );
+        PackedPatterns {
+            lanes: 64,
+            raw: pattern.iter().map(RailWord::splat).collect(),
+        }
+    }
+
     /// A reusable evaluator over this plan (scratch buffers sized once).
     #[must_use]
     pub fn evaluator(&self) -> PackedEvaluator {
@@ -594,6 +614,25 @@ mod tests {
             Logic::One,
             "lane 2: b/sa1 → carry 1"
         );
+    }
+
+    #[test]
+    fn broadcast_equals_packing_64_copies() {
+        let mut b = NetlistBuilder::new("alias");
+        let a = b.input("a");
+        let c = b.input("b");
+        let y = b.gate(GateKind::Xor, &[a, c]);
+        b.output("pass", c);
+        b.output("y", y);
+        let nl = b.build().unwrap();
+        let compiled = CompiledNetlist::compile(&nl);
+        let mut inp = LogicVec::from_u64(2, 0b01);
+        inp.set(1, Logic::Z);
+        let broadcast = compiled.broadcast(&inp);
+        let copies = compiled.pack(&vec![inp.clone(); 64]);
+        assert_eq!(broadcast.lanes(), 64);
+        let mut eval = compiled.evaluator();
+        assert_eq!(eval.run(&broadcast, &[]), eval.run(&copies, &[]));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Detection tables: the paper's per-pattern testability exchange format.
 
-use vcad_engine::{CompiledNetlist, EngineKind, Force};
+use std::collections::HashMap;
+
+use vcad_engine::{CompiledNetlist, EngineKind, Force, PackedOutputs};
 use vcad_logic::LogicVec;
 use vcad_netlist::{Evaluator, Netlist};
 use vcad_rmi::Value;
 
 use crate::collapse::FaultUniverse;
 use crate::eval::FaultyEvaluator;
-use crate::fault::SymbolicFault;
+use crate::fault::{Fault, SymbolicFault};
 use crate::parallel::fault_force;
 
 /// The detection table of one component for one input configuration.
@@ -76,7 +78,10 @@ impl DetectionTable {
     /// backend. Both backends produce identical tables (same rows, same
     /// order); `Compiled` simulates up to 64 fault classes per pass by
     /// replicating the pattern across lanes and injecting one lane-masked
-    /// fault per class — the transposed parallel-fault layout.
+    /// fault per class — the transposed parallel-fault layout. It
+    /// compiles `netlist` on every call; a source answering many requests
+    /// keeps one compiled builder instead
+    /// ([`NetlistDetectionSource`](crate::NetlistDetectionSource)).
     ///
     /// # Panics
     ///
@@ -90,65 +95,7 @@ impl DetectionTable {
     ) -> DetectionTable {
         match engine {
             EngineKind::Event => DetectionTable::build(netlist, universe, inputs),
-            EngineKind::Compiled => DetectionTable::build_compiled(
-                &CompiledNetlist::compile(netlist),
-                netlist,
-                universe,
-                inputs,
-            ),
-        }
-    }
-
-    /// The compiled fast path behind [`DetectionTable::build_with`],
-    /// reusing an already-compiled plan (a provider answering many
-    /// per-pattern requests compiles once and calls this per table).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `compiled` was not compiled from `netlist`, or if
-    /// `inputs.width()` differs from the netlist's input count.
-    #[must_use]
-    pub fn build_compiled(
-        compiled: &CompiledNetlist,
-        netlist: &Netlist,
-        universe: &FaultUniverse,
-        inputs: &LogicVec,
-    ) -> DetectionTable {
-        let fault_free = compiled.outputs(inputs);
-        let mut eval = compiled.evaluator();
-        let mut rows: Vec<(LogicVec, Vec<SymbolicFault>)> = Vec::new();
-        // Same untestable-class skip as the event path, applied before
-        // lane packing so both engines chunk the same class sequence.
-        let testable: Vec<&crate::collapse::FaultClass> = universe
-            .classes()
-            .iter()
-            .filter(|c| c.is_testable())
-            .collect();
-        for chunk in testable.chunks(64) {
-            let patterns = vec![inputs.clone(); chunk.len()];
-            let packed = compiled.pack(&patterns);
-            let forces: Vec<Force> = chunk
-                .iter()
-                .enumerate()
-                .map(|(lane, class)| fault_force(&class.representative, 1u64 << lane))
-                .collect();
-            let out = eval.run(&packed, &forces);
-            for (lane, class) in chunk.iter().enumerate() {
-                let faulty = out.lane(lane);
-                if faulty == fault_free {
-                    continue;
-                }
-                let name = class.representative.name(netlist);
-                match rows.iter_mut().find(|(o, _)| *o == faulty) {
-                    Some((_, faults)) => faults.push(name),
-                    None => rows.push((faulty, vec![name])),
-                }
-            }
-        }
-        DetectionTable {
-            inputs: inputs.clone(),
-            fault_free,
-            rows,
+            EngineKind::Compiled => CompiledTables::new(netlist, universe).build(inputs),
         }
     }
 
@@ -242,6 +189,99 @@ impl DetectionTable {
             rows,
         })
     }
+}
+
+/// The compiled detection-table builder: the netlist compiled once and
+/// the testable fault classes named once, so each request only runs the
+/// parallel-fault transpose.
+///
+/// Per table the pattern is broadcast into all 64 lanes once; the
+/// unforced pass gives the fault-free image, then each chunk of up to 64
+/// testable classes runs one pass with one lane-masked fault per lane.
+/// Only lanes whose outputs differ from the fault-free image are visited,
+/// and lanes sharing an erroneous image are grouped so each distinct
+/// image is decoded once. Rows and faults come out in class order,
+/// exactly as [`DetectionTable::build`] emits them.
+#[derive(Clone, Debug)]
+pub(crate) struct CompiledTables {
+    compiled: CompiledNetlist,
+    testable: Vec<(Fault, SymbolicFault)>,
+}
+
+impl CompiledTables {
+    /// Compiles `netlist` and names the testable classes of `universe`
+    /// (statically untestable classes never reach the outputs, so they
+    /// are skipped exactly as the event path skips them).
+    pub(crate) fn new(netlist: &Netlist, universe: &FaultUniverse) -> CompiledTables {
+        CompiledTables {
+            compiled: CompiledNetlist::compile(netlist),
+            testable: universe
+                .classes()
+                .iter()
+                .filter(|c| c.is_testable())
+                .map(|c| (c.representative, c.representative.name(netlist)))
+                .collect(),
+        }
+    }
+
+    /// The detection table for `inputs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.width()` differs from the netlist's input count.
+    pub(crate) fn build(&self, inputs: &LogicVec) -> DetectionTable {
+        let packed = self.compiled.broadcast(inputs);
+        let mut eval = self.compiled.evaluator();
+        let golden = eval.run(&packed, &[]);
+        let mut rows: Vec<(LogicVec, Vec<SymbolicFault>)> = Vec::new();
+        let mut row_of: HashMap<LogicVec, usize> = HashMap::new();
+        let mut forces: Vec<Force> = Vec::with_capacity(64);
+        for chunk in self.testable.chunks(64) {
+            forces.clear();
+            forces.extend(
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(lane, (fault, _))| fault_force(fault, 1u64 << lane)),
+            );
+            let out = eval.run(&packed, &forces);
+            let live = u64::MAX >> (64 - chunk.len());
+            let mut pending = golden.diff_mask(&out) & live;
+            while pending != 0 {
+                let lane = pending.trailing_zeros() as usize;
+                let group = pending & same_image(&out, lane);
+                pending &= !group;
+                let image = out.lane(lane);
+                let row = *row_of.entry(image).or_insert_with_key(|image| {
+                    rows.push((image.clone(), Vec::new()));
+                    rows.len() - 1
+                });
+                let faults = &mut rows[row].1;
+                let mut lanes = group;
+                while lanes != 0 {
+                    faults.push(chunk[lanes.trailing_zeros() as usize].1.clone());
+                    lanes &= lanes - 1;
+                }
+            }
+        }
+        DetectionTable {
+            inputs: inputs.clone(),
+            fault_free: golden.lane(0),
+            rows,
+        }
+    }
+}
+
+/// The lanes of `out` whose whole output image equals lane `lane`'s.
+fn same_image(out: &PackedOutputs, lane: usize) -> u64 {
+    (0..out.width()).fold(u64::MAX, |acc, i| {
+        let w = out.word(i);
+        // Spread lane `lane`'s rail bits across the word, then keep the
+        // lanes that match on both rails.
+        let one = (w.one >> lane & 1).wrapping_neg();
+        let zero = (w.zero >> lane & 1).wrapping_neg();
+        acc & !((w.one ^ one) | (w.zero ^ zero))
+    })
 }
 
 #[cfg(test)]
@@ -368,5 +408,83 @@ mod tests {
                 assert_eq!(event, compiled, "{} under {inputs}", nl.name());
             }
         }
+    }
+
+    /// Seeded binary patterns plus an all-`X` pattern and one with a `Z`.
+    fn edge_patterns(width: usize, seed: u64, binary: usize) -> Vec<LogicVec> {
+        use vcad_logic::Logic;
+        let mut rng = vcad_prng::Rng::seed_from_u64(seed);
+        let mut patterns: Vec<LogicVec> = (0..binary)
+            .map(|_| {
+                LogicVec::from_bits((0..width).map(|_| {
+                    if rng.gen_bool(0.5) {
+                        Logic::One
+                    } else {
+                        Logic::Zero
+                    }
+                }))
+            })
+            .collect();
+        patterns.push(LogicVec::filled(width, Logic::X));
+        let mut with_z = patterns[0].clone();
+        with_z.set(width / 2, Logic::Z);
+        patterns.push(with_z);
+        patterns
+    }
+
+    /// One compiled builder answers every pattern exactly as the event
+    /// path does.
+    fn assert_compiled_matches_event(nl: &Netlist, universe: &FaultUniverse, seed: u64) {
+        let tables = CompiledTables::new(nl, universe);
+        for inputs in edge_patterns(nl.input_count(), seed, 4) {
+            let event = DetectionTable::build(nl, universe, &inputs);
+            assert_eq!(tables.build(&inputs), event, "{} under {inputs}", nl.name());
+        }
+    }
+
+    #[test]
+    fn transpose_with_exact_multiple_of_64_classes() {
+        let nl = generators::equality_comparator(38);
+        let universe = FaultUniverse::collapsed(&nl);
+        assert_eq!(universe.testable_class_count(), 3 * 64);
+        assert_compiled_matches_event(&nl, &universe, 1);
+    }
+
+    #[test]
+    fn transpose_with_partial_last_chunk() {
+        let nl = generators::wallace_multiplier(8);
+        let universe = FaultUniverse::collapsed(&nl);
+        assert_eq!(universe.testable_class_count(), 1569);
+        assert_compiled_matches_event(&nl, &universe, 2);
+    }
+
+    #[test]
+    fn transpose_with_pruned_universe() {
+        use crate::testability::TestabilityAnalysis;
+        let nl = generators::untestable_demo(5);
+        let mut universe = FaultUniverse::collapsed(&nl);
+        let marked = universe.apply_testability(&nl, &TestabilityAnalysis::analyze(&nl));
+        assert!(marked > 0, "demo circuit must yield untestable classes");
+        assert_compiled_matches_event(&nl, &universe, 3);
+    }
+
+    #[test]
+    fn transpose_with_no_detected_fault() {
+        // Every output stem fault is visible under any pattern, so keep
+        // only the classes this pattern cannot expose: every chunk then
+        // has an empty diff mask.
+        let nl = generators::wallace_multiplier(4);
+        let universe = FaultUniverse::collapsed(&nl);
+        let inputs = LogicVec::zeros(nl.input_count());
+        let event = DetectionTable::build(&nl, &universe, &inputs);
+        let mut tables = CompiledTables::new(&nl, &universe);
+        tables
+            .testable
+            .retain(|(_, name)| event.output_for(name).is_none());
+        assert!(tables.testable.len() > 64, "several chunks stay in play");
+        let table = tables.build(&inputs);
+        assert!(table.rows().is_empty(), "{:?}", table.rows());
+        assert_eq!(table.fault_free(), event.fault_free());
+        assert_eq!(table.inputs(), &inputs);
     }
 }

@@ -18,6 +18,9 @@
 //!   pattern, every erroneous output configuration with the symbolic
 //!   faults that cause it. Serialisable to a wire
 //!   [`Value`](vcad_rmi) for remote transmission.
+//!   [`NetlistDetectionSource`] builds them on the compiled
+//!   parallel-fault engine (64 fault classes per pass); the event-driven
+//!   builder stays as the bit-identical reference.
 //! * [`SerialFaultSim`] — the full-disclosure flat baseline, plus a
 //!   64-way bit-parallel variant ([`BitParallelSim`]).
 //! * [`VirtualFaultSim`] — the Figure 5 algorithm over a `vcad-core`

@@ -14,7 +14,7 @@ use vcad_netlist::Netlist;
 use vcad_obs::Collector;
 
 use crate::collapse::FaultUniverse;
-use crate::detect::DetectionTable;
+use crate::detect::{CompiledTables, DetectionTable};
 use crate::fault::SymbolicFault;
 
 /// Virtual-fault-simulation failures.
@@ -106,36 +106,50 @@ pub trait DetectionTableSource: Send + Sync {
 
 /// The provider-side (or fully local) detection-table source: owns the
 /// protected netlist and computes tables on demand.
+///
+/// Tables come from the compiled parallel-fault engine by default; the
+/// event-driven builder stays available as the differential oracle
+/// through [`NetlistDetectionSource::with_engine`]. Both produce
+/// identical tables.
 pub struct NetlistDetectionSource {
     netlist: Arc<Netlist>,
     universe: FaultUniverse,
-    compiled: Option<vcad_engine::CompiledNetlist>,
+    compiled: Option<CompiledTables>,
 }
 
 impl NetlistDetectionSource {
-    /// Creates a source over the component's (private) netlist.
+    /// Creates a source over the component's (private) netlist: collapses
+    /// its fault universe, compiles the netlist once and names the
+    /// testable fault classes once, so each
+    /// [`detection_table`](DetectionTableSource::detection_table) request
+    /// only runs the parallel-fault transpose (64 fault classes per pass).
     #[must_use]
     pub fn new(netlist: Arc<Netlist>) -> NetlistDetectionSource {
         let universe = FaultUniverse::collapsed(&netlist);
+        let compiled = Some(CompiledTables::new(&netlist, &universe));
         NetlistDetectionSource {
             netlist,
             universe,
-            compiled: None,
+            compiled,
         }
     }
 
-    /// Selects the backend tables are computed on. `Compiled` compiles
-    /// the netlist once and then answers each request via the
-    /// parallel-fault transpose (64 fault classes per pass); tables are
-    /// bit-identical to the event path.
+    /// Selects the backend tables are computed on. `Compiled` (the
+    /// default) keeps the compiled builder, compiling it if `Event` was
+    /// selected before; `Event` drops it and simulates one fault class at
+    /// a time with the event-driven evaluator — the reference the
+    /// compiled path is differential-tested against. Tables are
+    /// bit-identical either way.
     #[must_use]
     pub fn with_engine(mut self, engine: vcad_engine::EngineKind) -> NetlistDetectionSource {
-        self.compiled = match engine {
-            vcad_engine::EngineKind::Event => None,
+        match engine {
+            vcad_engine::EngineKind::Event => self.compiled = None,
             vcad_engine::EngineKind::Compiled => {
-                Some(vcad_engine::CompiledNetlist::compile(&self.netlist))
+                if self.compiled.is_none() {
+                    self.compiled = Some(CompiledTables::new(&self.netlist, &self.universe));
+                }
             }
-        };
+        }
         self
     }
 
@@ -148,6 +162,10 @@ impl NetlistDetectionSource {
     pub fn with_testability(mut self) -> NetlistDetectionSource {
         let analysis = crate::testability::TestabilityAnalysis::analyze(&self.netlist);
         self.universe.apply_testability(&self.netlist, &analysis);
+        // The compiled builder's testable list shrinks with the universe.
+        if self.compiled.is_some() {
+            self.compiled = Some(CompiledTables::new(&self.netlist, &self.universe));
+        }
         self
     }
 
@@ -190,8 +208,16 @@ impl DetectionTableSource for NetlistDetectionSource {
     }
 
     fn detection_table(&self, inputs: &LogicVec) -> Result<DetectionTable, VirtualSimError> {
+        let expected = self.netlist.input_count();
+        if inputs.width() != expected {
+            return Err(VirtualSimError::Source(format!(
+                "pattern is {} bits wide; `{}` has {expected} inputs",
+                inputs.width(),
+                self.netlist.name()
+            )));
+        }
         Ok(match &self.compiled {
-            Some(c) => DetectionTable::build_compiled(c, &self.netlist, &self.universe, inputs),
+            Some(tables) => tables.build(inputs),
             None => DetectionTable::build(&self.netlist, &self.universe, inputs),
         })
     }
@@ -716,6 +742,24 @@ mod tests {
                 pruned.detection_table(&inputs).unwrap(),
                 "under {inputs}"
             );
+        }
+    }
+
+    #[test]
+    fn wrong_width_inputs_are_a_source_error_on_both_engines() {
+        use vcad_engine::EngineKind;
+        let nl = Arc::new(generators::half_adder_nand());
+        for engine in EngineKind::ALL {
+            let source = NetlistDetectionSource::new(Arc::clone(&nl)).with_engine(engine);
+            for width in [0, 1, 3] {
+                match source.detection_table(&LogicVec::zeros(width)) {
+                    Err(VirtualSimError::Source(m)) => {
+                        assert!(m.contains(&format!("{width} bits wide")), "{engine}: {m}");
+                    }
+                    other => panic!("{engine}: width {width} gave {other:?}"),
+                }
+            }
+            assert!(source.detection_table(&LogicVec::zeros(2)).is_ok());
         }
     }
 

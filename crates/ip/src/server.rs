@@ -1,8 +1,6 @@
 //! The provider side: catalog and component server objects.
 
-use std::sync::Arc;
-
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use vcad_core::{EstimationInput, Estimator, PortSnapshot, SimTime};
 use vcad_faults::{DetectionTable, DetectionTableSource, NetlistDetectionSource};
@@ -392,7 +390,10 @@ struct ComponentObject {
     regression: LinearRegressionPowerEstimator,
     toggle: TogglePowerEstimator,
     peak: PeakPowerEstimator,
-    detection: NetlistDetectionSource,
+    /// Built on the first fault-list or detection-table request: sessions
+    /// that never ask for one skip collapsing and compiling the fault
+    /// universe.
+    detection: OnceLock<NetlistDetectionSource>,
     ledger: Arc<ServerLedger>,
 }
 
@@ -424,7 +425,6 @@ impl ComponentObject {
             LinearRegressionPowerEstimator::fit(&reference, &netlist, &training, ports.clone());
         let toggle = TogglePowerEstimator::new(Arc::clone(&netlist), model, ports.clone(), true);
         let peak = PeakPowerEstimator::new(Arc::clone(&netlist), model, ports, true);
-        let detection = NetlistDetectionSource::new(Arc::clone(&netlist));
         ComponentObject {
             name: offering.name().to_owned(),
             public_behavior: offering.public_behavior().to_owned(),
@@ -435,9 +435,14 @@ impl ComponentObject {
             regression,
             toggle,
             peak,
-            detection,
+            detection: OnceLock::new(),
             ledger,
         }
+    }
+
+    fn detection(&self) -> &NetlistDetectionSource {
+        self.detection
+            .get_or_init(|| NetlistDetectionSource::new(Arc::clone(&self.netlist)))
     }
 }
 
@@ -548,7 +553,7 @@ impl RemoteObject for ComponentObject {
                 Ok(Value::Vec(out))
             }
             component::FAULT_LIST => Ok(Value::List(
-                self.detection
+                self.detection()
                     .fault_list()
                     .into_iter()
                     .map(|f| Value::Str(f.as_str().to_owned()))
@@ -571,7 +576,7 @@ impl RemoteObject for ComponentObject {
                     .collector()
                     .traced_span("ip", format!("estimate:{method}"));
                 let table: DetectionTable = self
-                    .detection
+                    .detection()
                     .detection_table(inputs)
                     .map_err(|e| RmiError::application(e.to_string()))?;
                 Ok(table.to_value())
