@@ -232,6 +232,13 @@ impl SimulationController {
         }
 
         drop(run_span);
+        // Consume the scheduler before absorbing the run collector: a
+        // sharded scheduler flushes its `sched.shard.*` telemetry into
+        // the child when it hands over its state store.
+        let event_log = self.record_events.then(|| scheduler.take_event_log());
+        let end_time = scheduler.time();
+        let events_processed = scheduler.events_processed();
+        let state = scheduler.into_state_store();
         if let (Some(parent), Some(child)) = (&self.obs, &child) {
             let m = child.metrics();
             m.float_counter("estimate.fees_cents")
@@ -245,11 +252,10 @@ impl SimulationController {
             parent.absorb(child);
         }
 
-        let event_log = self.record_events.then(|| scheduler.take_event_log());
         Ok(SimRun {
-            end_time: scheduler.time(),
-            events_processed: scheduler.events_processed(),
-            state: scheduler.into_state_store(),
+            end_time,
+            events_processed,
+            state,
             estimates: log,
             event_log,
             shard_count,
@@ -529,6 +535,39 @@ mod tests {
         // parent.
         assert_eq!(trace.events_named("run:").len(), 3);
         assert!(!trace.events_named("instant").is_empty());
+    }
+
+    #[test]
+    fn sharded_run_telemetry_reaches_the_callers_collector() {
+        // Two disconnected pipelines: `Auto(2)` puts one on each shard.
+        let mut b = DesignBuilder::new("two");
+        let mut outs = Vec::new();
+        for k in 0..2 {
+            let s = b.add_module(Arc::new(RandomInput::new(format!("IN{k}"), 8, k, 10)));
+            let r = b.add_module(Arc::new(Register::new(format!("REG{k}"), 8)));
+            let o = b.add_module(Arc::new(PrimaryOutput::new(format!("OUT{k}"), 8)));
+            b.connect(s, "out", r, "d").unwrap();
+            b.connect(r, "q", o, "in").unwrap();
+            outs.push(o);
+        }
+        let obs = Collector::enabled();
+        let run = SimulationController::new(Arc::new(b.build().unwrap()))
+            .with_shards(ShardPolicy::Auto(2))
+            .with_collector(obs.clone())
+            .run()
+            .unwrap();
+        assert_eq!(run.shard_count(), 2);
+        for o in outs {
+            assert_eq!(
+                run.module_state::<CaptureState>(o).unwrap().history().len(),
+                10
+            );
+        }
+        let gauges = obs.metrics().snapshot().gauges;
+        let max = gauges
+            .get("sched.shard.load.max_events")
+            .expect("shard load gauge absorbed into the caller's collector");
+        assert!(max.value > 0, "{max:?}");
     }
 
     /// A dynamic estimator that records how many patterns each flush saw.

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use vcad_engine::{CompiledNetlist, EngineKind};
+use vcad_engine::{CompiledNetlist, EngineKind, PackedEvaluator, PackedOutputs};
 use vcad_logic::LogicVec;
 use vcad_netlist::{Evaluator, Netlist};
 
@@ -18,12 +18,7 @@ use crate::module::{Module, ModuleCtx, PortSpec};
 /// per-evaluation scalar walk for the compiled levelized plan; results
 /// are bit-identical either way.
 #[derive(Debug)]
-pub struct NetlistBlock {
-    name: String,
-    netlist: Arc<Netlist>,
-    ports: Vec<PortSpec>,
-    compiled: Option<CompiledNetlist>,
-}
+pub struct NetlistBlock(GateBlock);
 
 impl NetlistBlock {
     /// Creates a block over `netlist`.
@@ -36,83 +31,48 @@ impl NetlistBlock {
         for (out_name, _) in netlist.outputs() {
             ports.push(PortSpec::output(out_name.clone(), 1));
         }
-        NetlistBlock {
-            name: name.into(),
-            netlist,
-            ports,
-            compiled: None,
-        }
+        let input_ports = netlist.input_count();
+        NetlistBlock(GateBlock::new(name.into(), netlist, ports, input_ports))
     }
 
-    /// Selects the gate-evaluation backend; `Compiled` compiles the
-    /// netlist once, up front.
+    /// Selects the gate-evaluation backend. `Compiled` compiles the
+    /// netlist once, up front; each scheduler that runs the block then
+    /// keeps one [`PackedEvaluator`] in its state store, created on the
+    /// block's first evaluation and reused for every later one, so an
+    /// evaluation is one broadcast load plus one unforced plan sweep.
     #[must_use]
-    pub fn with_engine(mut self, engine: EngineKind) -> NetlistBlock {
-        self.compiled = match engine {
-            EngineKind::Event => None,
-            EngineKind::Compiled => Some(CompiledNetlist::compile(&self.netlist)),
-        };
-        self
+    pub fn with_engine(self, engine: EngineKind) -> NetlistBlock {
+        NetlistBlock(self.0.with_engine(engine))
     }
 
     /// The backend this block evaluates on.
     #[must_use]
     pub fn engine(&self) -> EngineKind {
-        if self.compiled.is_some() {
-            EngineKind::Compiled
-        } else {
-            EngineKind::Event
-        }
+        self.0.engine()
     }
 
     /// The wrapped netlist.
     #[must_use]
     pub fn netlist(&self) -> &Arc<Netlist> {
-        &self.netlist
-    }
-
-    fn input_count(&self) -> usize {
-        self.netlist.input_count()
-    }
-
-    fn eval(&self, inputs: &LogicVec) -> LogicVec {
-        match &self.compiled {
-            Some(c) => c.outputs(inputs),
-            None => Evaluator::new(&self.netlist).outputs(inputs),
-        }
+        &self.0.netlist
     }
 }
 
 impl Module for NetlistBlock {
     fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     fn ports(&self) -> &[PortSpec] {
-        &self.ports
+        &self.0.ports
     }
 
     fn on_signal(&self, ctx: &mut ModuleCtx<'_>, _port: usize, _value: &LogicVec) {
-        let n_in = self.input_count();
-        let inputs = LogicVec::from_bits((0..n_in).map(|i| ctx.port_value(i).get(0)));
-        let outputs = self.eval(&inputs);
-        for (i, bit) in outputs.iter().enumerate() {
-            let port = n_in + i;
-            let current = ctx.port_value(port).get(0);
-            if current != bit {
-                ctx.emit(port, LogicVec::from_bits([bit]));
-            }
-        }
+        self.0.evaluate(ctx);
     }
 
     fn compiled_twin(&self) -> Option<Arc<dyn Module>> {
-        if self.compiled.is_some() {
-            return None;
-        }
-        Some(Arc::new(
-            NetlistBlock::new(self.name.clone(), Arc::clone(&self.netlist))
-                .with_engine(EngineKind::Compiled),
-        ))
+        Some(Arc::new(NetlistBlock(self.0.compiled_twin()?)))
     }
 }
 
@@ -123,13 +83,7 @@ impl Module for NetlistBlock {
 /// multiplier (`a[16]`, `b[16]` → `p[32]`) plugs into a word-level design —
 /// the paper's mixed-level support.
 #[derive(Debug)]
-pub struct NetlistBusBlock {
-    name: String,
-    netlist: Arc<Netlist>,
-    ports: Vec<PortSpec>,
-    input_buses: usize,
-    compiled: Option<CompiledNetlist>,
-}
+pub struct NetlistBusBlock(GateBlock);
 
 impl NetlistBusBlock {
     /// Creates a bus block, partitioning netlist inputs/outputs over the
@@ -165,19 +119,84 @@ impl NetlistBusBlock {
         for (n, w) in output_buses {
             ports.push(PortSpec::output(*n, *w));
         }
-        NetlistBusBlock {
-            name: name.into(),
+        NetlistBusBlock(GateBlock::new(
+            name.into(),
             netlist,
             ports,
-            input_buses: input_buses.len(),
+            input_buses.len(),
+        ))
+    }
+
+    /// Selects the gate-evaluation backend. `Compiled` compiles the
+    /// netlist once, up front; each scheduler that runs the block then
+    /// keeps one [`PackedEvaluator`] in its state store, created on the
+    /// block's first evaluation and reused for every later one, so an
+    /// evaluation is one broadcast load plus one unforced plan sweep.
+    #[must_use]
+    pub fn with_engine(self, engine: EngineKind) -> NetlistBusBlock {
+        NetlistBusBlock(self.0.with_engine(engine))
+    }
+
+    /// The backend this block evaluates on.
+    #[must_use]
+    pub fn engine(&self) -> EngineKind {
+        self.0.engine()
+    }
+
+    /// The wrapped netlist.
+    #[must_use]
+    pub fn netlist(&self) -> &Arc<Netlist> {
+        &self.0.netlist
+    }
+}
+
+impl Module for NetlistBusBlock {
+    fn name(&self) -> &str {
+        &self.0.name
+    }
+
+    fn ports(&self) -> &[PortSpec] {
+        &self.0.ports
+    }
+
+    fn on_signal(&self, ctx: &mut ModuleCtx<'_>, _port: usize, _value: &LogicVec) {
+        self.0.evaluate(ctx);
+    }
+
+    fn compiled_twin(&self) -> Option<Arc<dyn Module>> {
+        Some(Arc::new(NetlistBusBlock(self.0.compiled_twin()?)))
+    }
+}
+
+/// The body both block flavours share: the netlist's primary inputs,
+/// in order, split over the first `input_ports` ports, its outputs over
+/// the rest.
+#[derive(Debug)]
+struct GateBlock {
+    name: String,
+    netlist: Arc<Netlist>,
+    ports: Vec<PortSpec>,
+    input_ports: usize,
+    compiled: Option<CompiledNetlist>,
+}
+
+impl GateBlock {
+    fn new(
+        name: String,
+        netlist: Arc<Netlist>,
+        ports: Vec<PortSpec>,
+        input_ports: usize,
+    ) -> GateBlock {
+        GateBlock {
+            name,
+            netlist,
+            ports,
+            input_ports,
             compiled: None,
         }
     }
 
-    /// Selects the gate-evaluation backend; `Compiled` compiles the
-    /// netlist once, up front.
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineKind) -> NetlistBusBlock {
+    fn with_engine(mut self, engine: EngineKind) -> GateBlock {
         self.compiled = match engine {
             EngineKind::Event => None,
             EngineKind::Compiled => Some(CompiledNetlist::compile(&self.netlist)),
@@ -185,9 +204,7 @@ impl NetlistBusBlock {
         self
     }
 
-    /// The backend this block evaluates on.
-    #[must_use]
-    pub fn engine(&self) -> EngineKind {
+    fn engine(&self) -> EngineKind {
         if self.compiled.is_some() {
             EngineKind::Compiled
         } else {
@@ -195,61 +212,72 @@ impl NetlistBusBlock {
         }
     }
 
-    /// The wrapped netlist.
-    #[must_use]
-    pub fn netlist(&self) -> &Arc<Netlist> {
-        &self.netlist
-    }
-}
-
-impl Module for NetlistBusBlock {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn ports(&self) -> &[PortSpec] {
-        &self.ports
-    }
-
-    fn on_signal(&self, ctx: &mut ModuleCtx<'_>, _port: usize, _value: &LogicVec) {
-        let mut inputs = LogicVec::zeros(0);
-        for i in 0..self.input_buses {
-            inputs = inputs.concat(ctx.port_value(i));
-        }
-        let outputs = match &self.compiled {
-            Some(c) => c.outputs(&inputs),
-            None => Evaluator::new(&self.netlist).outputs(&inputs),
-        };
-        let mut offset = 0;
-        for (i, spec) in self.ports.iter().enumerate().skip(self.input_buses) {
-            let slice = outputs.slice(offset, spec.width());
-            offset += spec.width();
-            if *ctx.port_value(i) != slice {
-                ctx.emit(i, slice);
-            }
-        }
-    }
-
-    fn compiled_twin(&self) -> Option<Arc<dyn Module>> {
+    /// A compiled copy, or `None` when this block is already compiled.
+    fn compiled_twin(&self) -> Option<GateBlock> {
         if self.compiled.is_some() {
             return None;
         }
-        Some(Arc::new(NetlistBusBlock {
-            name: self.name.clone(),
-            netlist: Arc::clone(&self.netlist),
-            ports: self.ports.clone(),
-            input_buses: self.input_buses,
-            compiled: Some(CompiledNetlist::compile(&self.netlist)),
-        }))
+        let twin = GateBlock::new(
+            self.name.clone(),
+            Arc::clone(&self.netlist),
+            self.ports.clone(),
+            self.input_ports,
+        );
+        Some(twin.with_engine(EngineKind::Compiled))
+    }
+
+    /// Re-evaluates the netlist on the latched inputs and emits every
+    /// output port whose value changed.
+    fn evaluate(&self, ctx: &mut ModuleCtx<'_>) {
+        let inputs =
+            LogicVec::from_bits((0..self.input_ports).flat_map(|i| ctx.port_value(i).iter()));
+        let outputs = match &self.compiled {
+            Some(c) => {
+                // Every lane carries the same pattern; lane 0 is read.
+                let packed = c.broadcast(&inputs);
+                let eval = ctx
+                    .state::<Option<PackedEvaluator>>()
+                    .get_or_insert_with(|| c.evaluator());
+                Outputs::Packed(eval.run(&packed, &[]))
+            }
+            None => Outputs::Scalar(Evaluator::new(&self.netlist).outputs(&inputs)),
+        };
+        let mut offset = 0;
+        for (i, spec) in self.ports.iter().enumerate().skip(self.input_ports) {
+            let value = outputs.slice(offset, spec.width());
+            offset += spec.width();
+            if *ctx.port_value(i) != value {
+                ctx.emit(i, value);
+            }
+        }
+    }
+}
+
+/// One evaluation's primary outputs on either backend.
+enum Outputs {
+    Scalar(LogicVec),
+    Packed(PackedOutputs),
+}
+
+impl Outputs {
+    /// Outputs `lsb..lsb + width`.
+    fn slice(&self, lsb: usize, width: usize) -> LogicVec {
+        match self {
+            Outputs::Scalar(v) => v.slice(lsb, width),
+            Outputs::Packed(p) => {
+                LogicVec::from_bits((lsb..lsb + width).map(|k| p.word(k).lane(0)))
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::DesignBuilder;
+    use crate::design::{Design, DesignBuilder, ModuleId};
     use crate::stdlib::{CaptureState, PrimaryOutput, VectorInput};
-    use crate::SimulationController;
+    use crate::{SimRun, SimulationController};
+    use vcad_logic::Logic;
     use vcad_netlist::generators;
 
     #[test]
@@ -322,51 +350,133 @@ mod tests {
         let _ = NetlistBusBlock::new("MUL", mul, &[("a", 4)], &[("p", 8)]);
     }
 
+    /// Stimulus for one `width`-bit port: mostly binary, with `X` and
+    /// `Z` bits mixed in when `four_valued`.
+    fn stimulus(width: usize, salt: u64, four_valued: bool) -> Vec<LogicVec> {
+        (0..12u64)
+            .map(|t| {
+                LogicVec::from_bits((0..width as u64).map(|i| {
+                    match (t * 7 + i * 3 + salt * 5) % 9 {
+                        0 if four_valued => Logic::X,
+                        1 if four_valued => Logic::Z,
+                        n => Logic::from((t * 11 + i + salt + n).is_multiple_of(3)),
+                    }
+                }))
+            })
+            .collect()
+    }
+
+    /// A design of `block` with a vector source on every input port and
+    /// a capture on every output port; returns the block and the captures.
+    fn harness(
+        block: Arc<dyn Module>,
+        four_valued: bool,
+    ) -> (Arc<Design>, ModuleId, Vec<ModuleId>) {
+        let ports = block.ports().to_vec();
+        let mut b = DesignBuilder::new("t");
+        let m = b.add_module(block);
+        let mut outs = Vec::new();
+        for (k, spec) in ports.iter().enumerate() {
+            if spec.direction().accepts_input() {
+                let src = b.add_module(Arc::new(VectorInput::new(
+                    format!("IN{k}"),
+                    stimulus(spec.width(), k as u64, four_valued),
+                )));
+                b.connect(src, "out", m, spec.name()).unwrap();
+            } else {
+                let o = b.add_module(Arc::new(PrimaryOutput::new(format!("O{k}"), spec.width())));
+                b.connect(m, spec.name(), o, "in").unwrap();
+                outs.push(o);
+            }
+        }
+        (Arc::new(b.build().unwrap()), m, outs)
+    }
+
+    fn wallace_bus_block() -> NetlistBusBlock {
+        let mul = Arc::new(generators::wallace_multiplier(4));
+        NetlistBusBlock::new("MUL", mul, &[("a", 4), ("b", 4)], &[("p", 8)])
+    }
+
+    fn c17_block() -> NetlistBlock {
+        NetlistBlock::new("C17", Arc::new(generators::c17()))
+    }
+
+    /// Event log, event count and every capture history must match.
+    fn assert_runs_identical(a: &SimRun, b: &SimRun, outs: &[ModuleId], context: &str) {
+        assert!(
+            a.event_log().is_some_and(|log| !log.is_empty()),
+            "{context}"
+        );
+        assert_eq!(a.event_log(), b.event_log(), "{context}");
+        assert_eq!(a.events_processed(), b.events_processed(), "{context}");
+        for &o in outs {
+            assert_eq!(
+                a.module_state::<CaptureState>(o).unwrap().history(),
+                b.module_state::<CaptureState>(o).unwrap().history(),
+                "{context}: capture {o}"
+            );
+        }
+    }
+
     #[test]
     fn compiled_engine_runs_are_bit_identical() {
-        use vcad_engine::EngineKind;
+        let bus = wallace_bus_block();
+        let bit = c17_block();
+        for block in [&bus as &dyn Module, &bit] {
+            assert!(block.compiled_twin().is_some());
+            assert!(block
+                .compiled_twin()
+                .and_then(|t| t.compiled_twin())
+                .is_none());
+        }
+        assert_eq!(bus.engine(), EngineKind::Event);
+        assert_eq!(bit.engine(), EngineKind::Event);
 
-        let mul = Arc::new(generators::wallace_multiplier(4));
-        let block = NetlistBusBlock::new("MUL", mul, &[("a", 4), ("b", 4)], &[("p", 8)]);
-        assert_eq!(block.engine(), EngineKind::Event);
-        assert!(block.compiled_twin().is_some());
-        assert!(block
-            .compiled_twin()
-            .and_then(|t| t.compiled_twin())
-            .is_none());
+        let blocks: [(&str, Arc<dyn Module>); 2] = [("bus", Arc::new(bus)), ("bit", Arc::new(bit))];
+        for (label, block) in blocks {
+            for four_valued in [false, true] {
+                let (d, _, outs) = harness(Arc::clone(&block), four_valued);
+                let event = SimulationController::new(Arc::clone(&d))
+                    .record_events()
+                    .run()
+                    .unwrap();
+                let compiled = SimulationController::new(d)
+                    .with_engine(EngineKind::Compiled)
+                    .record_events()
+                    .run()
+                    .unwrap();
+                let context = format!("{label} block, four-valued {four_valued}");
+                assert_runs_identical(&event, &compiled, &outs, &context);
+            }
+        }
+    }
 
-        let mut b = DesignBuilder::new("t");
-        let ia = b.add_module(Arc::new(VectorInput::new(
-            "A",
-            (0..8).map(|i| LogicVec::from_u64(4, i * 2 % 16)).collect(),
-        )));
-        let ib = b.add_module(Arc::new(VectorInput::new(
-            "B",
-            (0..8)
-                .map(|i| LogicVec::from_u64(4, (i * 7 + 3) % 16))
-                .collect(),
-        )));
-        let m = b.add_module(Arc::new(block));
-        let o = b.add_module(Arc::new(PrimaryOutput::new("P", 8)));
-        b.connect(ia, "out", m, "a").unwrap();
-        b.connect(ib, "out", m, "b").unwrap();
-        b.connect(m, "p", o, "in").unwrap();
-        let d = Arc::new(b.build().unwrap());
-
-        let event = SimulationController::new(Arc::clone(&d))
-            .record_events()
-            .run()
-            .unwrap();
-        let compiled = SimulationController::new(d)
-            .with_engine(EngineKind::Compiled)
-            .record_events()
-            .run()
-            .unwrap();
-        assert_eq!(
-            event.module_state::<CaptureState>(o).unwrap().history(),
-            compiled.module_state::<CaptureState>(o).unwrap().history()
-        );
-        assert_eq!(event.event_log(), compiled.event_log());
-        assert_eq!(event.events_processed(), compiled.events_processed());
+    #[test]
+    fn concurrent_compiled_runs_keep_one_evaluator_per_scheduler() {
+        let block = |label: &str, engine: EngineKind| -> Arc<dyn Module> {
+            match label {
+                "bus" => Arc::new(wallace_bus_block().with_engine(engine)),
+                _ => Arc::new(c17_block().with_engine(engine)),
+            }
+        };
+        for label in ["bus", "bit"] {
+            let (d, _, outs) = harness(block(label, EngineKind::Event), true);
+            let event = SimulationController::new(d).record_events().run().unwrap();
+            // Four schedulers share one compiled block.
+            let (d, id, _) = harness(block(label, EngineKind::Compiled), true);
+            let runs = SimulationController::new(d)
+                .record_events()
+                .run_concurrent(4)
+                .unwrap();
+            assert_eq!(runs.len(), 4);
+            for (k, run) in runs.iter().enumerate() {
+                assert_runs_identical(&event, run, &outs, &format!("{label} block, run {k}"));
+                assert!(
+                    run.module_state::<Option<PackedEvaluator>>(id)
+                        .is_some_and(Option::is_some),
+                    "{label} block, run {k}: the evaluator lives in the run's state store"
+                );
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use vcad_logic::{Logic, LogicVec, RailWord};
 use vcad_netlist::{ExecPlan, GateId, GateKind, NetId, Netlist, OutputSource};
-use vcad_obs::Collector;
+use vcad_obs::{Collector, Counter};
 
 /// Where a [`Force`] overrides the packed value stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -298,19 +298,24 @@ impl CompiledNetlist {
         }
     }
 
-    /// A reusable evaluator over this plan (scratch buffers sized once).
+    /// A reusable evaluator over this plan: the net-value scratch is
+    /// sized once here, the force cells on the first forced
+    /// [`PackedEvaluator::run`].
     #[must_use]
     pub fn evaluator(&self) -> PackedEvaluator {
         let plan = Arc::clone(&self.plan);
+        let m = self.obs.metrics();
         PackedEvaluator {
             values: vec![RailWord::default(); plan.net_count()],
             raw_inputs: vec![RailWord::default(); plan.input_nets().len()],
-            net_force: vec![ForceCell::default(); plan.net_count()],
-            pin_force: vec![ForceCell::default(); plan.operands().len()],
+            net_force: Vec::new(),
+            pin_force: Vec::new(),
             touched_nets: Vec::new(),
             touched_pins: Vec::new(),
             plan,
-            obs: self.obs.clone(),
+            passes: m.counter("engine.passes"),
+            gate_evals: m.counter("engine.gate_evals"),
+            patterns: m.counter("engine.patterns"),
         }
     }
 
@@ -325,7 +330,9 @@ impl CompiledNetlist {
         self.outputs_with(inputs, &[])
     }
 
-    /// Single-pattern evaluation under the given forces.
+    /// Single-pattern evaluation under the given forces. The pattern is
+    /// broadcast, so a force's lane mask only matters if it is nonzero
+    /// on lane 0.
     ///
     /// # Panics
     ///
@@ -333,7 +340,11 @@ impl CompiledNetlist {
     /// force addresses a pin that does not exist.
     #[must_use]
     pub fn outputs_with(&self, inputs: &LogicVec, forces: &[Force]) -> LogicVec {
-        let packed = self.pack(std::slice::from_ref(inputs));
+        // One experiment: every lane holds the pattern, only lane 0 is
+        // occupied — what `pack(&[inputs])` builds, without the lane
+        // transpose.
+        let mut packed = self.broadcast(inputs);
+        packed.lanes = 1;
         self.evaluator().run(&packed, forces).lane(0)
     }
 }
@@ -341,16 +352,25 @@ impl CompiledNetlist {
 /// Executes a compiled plan over packed patterns; owns the per-run
 /// scratch (net values, force cells), so reuse one evaluator across
 /// many [`PackedEvaluator::run`] calls to amortize the allocations.
+///
+/// A pass without forces runs the unforced instantiation of the level
+/// sweep, which tests no force cell at all; the force cells themselves
+/// are only allocated by the first forced pass. A gate-level block on
+/// the compiled engine keeps one evaluator per scheduler in that
+/// scheduler's state store, so a simulation pays one sweep per
+/// evaluation and concurrent runs never share scratch.
 #[derive(Clone, Debug)]
 pub struct PackedEvaluator {
     plan: Arc<ExecPlan>,
-    obs: Collector,
     values: Vec<RailWord>,
     raw_inputs: Vec<RailWord>,
     net_force: Vec<ForceCell>,
     pin_force: Vec<ForceCell>,
     touched_nets: Vec<u32>,
     touched_pins: Vec<u32>,
+    passes: Counter,
+    gate_evals: Counter,
+    patterns: Counter,
 }
 
 impl PackedEvaluator {
@@ -368,8 +388,38 @@ impl PackedEvaluator {
         for force in forces {
             self.set_force(force);
         }
-        let nets_active = !self.touched_nets.is_empty();
-        let pins_active = !self.touched_pins.is_empty();
+        if self.touched_nets.is_empty() && self.touched_pins.is_empty() {
+            self.sweep::<false>(patterns);
+        } else {
+            self.sweep::<true>(patterns);
+        }
+
+        let words = self
+            .plan
+            .outputs()
+            .iter()
+            .map(|src| match *src {
+                OutputSource::Net(net) => self.values[net],
+                OutputSource::Input(i) => self.raw_inputs[i],
+            })
+            .collect();
+
+        self.passes.add(1);
+        self.gate_evals.add(self.plan.op_count() as u64);
+        self.patterns.add(patterns.lanes as u64);
+
+        PackedOutputs {
+            lanes: patterns.lanes,
+            words,
+        }
+    }
+
+    /// Loads the primary inputs and sweeps the plan level by level.
+    /// `FORCED` compiles the force-cell tests in; the unforced
+    /// instantiation has none, so it reads only the net values.
+    fn sweep<const FORCED: bool>(&mut self, patterns: &PackedPatterns) {
+        let nets_active = FORCED && !self.touched_nets.is_empty();
+        let pins_active = FORCED && !self.touched_pins.is_empty();
 
         // Load primary inputs: stem forces first (they replace the raw
         // value, matching the event-driven fault path), then the `Z`→`X`
@@ -454,27 +504,6 @@ impl PackedEvaluator {
                 self.values[op.output()] = out;
             }
         }
-
-        let words = self
-            .plan
-            .outputs()
-            .iter()
-            .map(|src| match *src {
-                OutputSource::Net(net) => self.values[net],
-                OutputSource::Input(i) => self.raw_inputs[i],
-            })
-            .collect();
-
-        let m = self.obs.metrics();
-        m.counter("engine.passes").add(1);
-        m.counter("engine.gate_evals")
-            .add(self.plan.op_count() as u64);
-        m.counter("engine.patterns").add(patterns.lanes as u64);
-
-        PackedOutputs {
-            lanes: patterns.lanes,
-            words,
-        }
     }
 
     fn clear_forces(&mut self) {
@@ -487,6 +516,10 @@ impl PackedEvaluator {
     }
 
     fn set_force(&mut self, force: &Force) {
+        if self.net_force.is_empty() {
+            self.net_force = vec![ForceCell::default(); self.plan.net_count()];
+            self.pin_force = vec![ForceCell::default(); self.plan.operands().len()];
+        }
         let cell = match force.site {
             ForceSite::Net(net) => {
                 self.touched_nets.push(net.index() as u32);

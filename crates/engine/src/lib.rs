@@ -18,6 +18,13 @@
 //! pattern, up to 64 single-fault experiments across the lanes), which
 //! is how `vcad-faults` builds detection tables at speed.
 //!
+//! A gate-level block inside a simulation evaluates one pattern per
+//! event instead: it [`broadcast`](CompiledNetlist::broadcast)s the
+//! pattern into every lane, runs the unforced sweep of an evaluator it
+//! keeps in its scheduler's state store, and reads lane 0. A pass with
+//! no [`Force`] runs a sweep instantiation that tests no force cell, and
+//! an evaluator only allocates force cells when it is first forced.
+//!
 //! The engine is differential-tested against the scalar
 //! [`Evaluator`](vcad_netlist::Evaluator) and, downstream, against the
 //! event-driven scheduler: any divergence in outputs, detection tables
@@ -37,6 +44,12 @@
 //! let b = LogicVec::from_u64(4, 6);
 //! let out = compiled.outputs(&a.concat(&b));
 //! assert_eq!(out.to_word().unwrap().value(), 11);
+//!
+//! // The per-event path of a gate-level block: one evaluator, reused
+//! // across patterns, and one broadcast load per pattern.
+//! let mut eval = compiled.evaluator();
+//! let packed = compiled.broadcast(&a.concat(&b));
+//! assert_eq!(eval.run(&packed, &[]).lane(0), out);
 //! ```
 
 mod compiled;

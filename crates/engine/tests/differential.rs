@@ -8,7 +8,7 @@
 //! with `VCAD_PROP_SEED=<seed> cargo test -p vcad-engine --test
 //! differential`.
 
-use vcad_engine::CompiledNetlist;
+use vcad_engine::{CompiledNetlist, Force};
 use vcad_logic::{Logic, LogicVec};
 use vcad_netlist::generators::{self, RandomCircuitSpec};
 use vcad_netlist::{Evaluator, Netlist};
@@ -143,6 +143,112 @@ fn x_propagation_is_lane_exact() {
                 scalar.outputs(pattern),
                 "seed {seed}, X on input {lane} \
                  (rerun with VCAD_PROP_SEED={seed})"
+            );
+        }
+    }
+}
+
+/// A seeded random circuit and a batch of four-valued patterns for it.
+fn random_case(seed: u64) -> (Netlist, Vec<LogicVec>) {
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5EE9);
+    let inputs = rng.gen_range(6usize..28);
+    let nl = generators::random_circuit(RandomCircuitSpec {
+        inputs,
+        gates: rng.gen_range(20usize..250),
+        outputs: rng.gen_range(2usize..14),
+        seed: seed.wrapping_mul(0xA24B_AED4_963E_E407),
+    });
+    let mut patterns: Vec<LogicVec> = (0..62).map(|_| random_pattern(&mut rng, inputs)).collect();
+    patterns.push(LogicVec::filled(inputs, Logic::X));
+    patterns.push(LogicVec::filled(inputs, Logic::Z));
+    (nl, patterns)
+}
+
+#[test]
+fn unforced_sweep_equals_zero_lane_forced_sweep() {
+    // A force claiming no lane still takes the forced instantiation of
+    // the level sweep, so both instantiations must agree on every net.
+    for seed in seeds_under_test() {
+        let (nl, patterns) = random_case(seed);
+        let compiled = CompiledNetlist::compile(&nl);
+        let packed = compiled.pack(&patterns);
+        let mut eval = compiled.evaluator();
+        let unforced = eval.run(&packed, &[]);
+        for (net, _) in nl.nets() {
+            for stuck_one in [false, true] {
+                let forced = eval.run(&packed, &[Force::net(net, stuck_one, 0)]);
+                assert_eq!(
+                    forced, unforced,
+                    "seed {seed}, zero-lane force on {net:?} \
+                     (rerun with VCAD_PROP_SEED={seed})"
+                );
+            }
+        }
+        for (gate, g) in nl.gates() {
+            for pin in 0..g.inputs().len() {
+                let forced = eval.run(&packed, &[Force::pin(gate, pin, true, 0)]);
+                assert_eq!(
+                    forced, unforced,
+                    "seed {seed}, zero-lane force on pin {pin} of {gate:?} \
+                     (rerun with VCAD_PROP_SEED={seed})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn evaluator_reused_after_forced_passes_matches_a_fresh_one() {
+    for seed in seeds_under_test() {
+        let (nl, patterns) = random_case(seed);
+        let compiled = CompiledNetlist::compile(&nl);
+        let packed = compiled.pack(&patterns);
+        let fresh = compiled.evaluator().run(&packed, &[]);
+        let mut rng = Rng::seed_from_u64(seed ^ 0xF0F0);
+        let nets: Vec<_> = nl.nets().map(|(id, _)| id).collect();
+        let gates: Vec<_> = nl
+            .gates()
+            .map(|(id, g)| (id, g.inputs().len()))
+            .filter(|&(_, pins)| pins > 0)
+            .collect();
+        let mut eval = compiled.evaluator();
+        for round in 0..8 {
+            // Stem and pin forces over random lanes, then a plain pass.
+            let net = nets[rng.gen_range(0..nets.len())];
+            let (gate, pins) = gates[rng.gen_range(0..gates.len())];
+            let forces = [
+                Force::net(net, rng.next_u64() & 1 == 1, rng.next_u64()),
+                Force::pin(gate, rng.gen_range(0..pins), true, rng.next_u64()),
+            ];
+            let _ = eval.run(&packed, &forces);
+            // The next pass, on either sweep instantiation, must not
+            // see the previous pass's force cells.
+            let zero_lane = Force::net(net, true, 0);
+            for next in [&[][..], &[zero_lane][..]] {
+                assert_eq!(
+                    eval.run(&packed, next),
+                    fresh,
+                    "seed {seed}, round {round}: forces {forces:?} leaked into \
+                     the next pass under {next:?} (rerun with VCAD_PROP_SEED={seed})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn single_pattern_outputs_match_the_scalar_evaluator() {
+    // `outputs` broadcasts one pattern and reads lane 0, the path a
+    // gate-level block takes per event.
+    for seed in seeds_under_test() {
+        let (nl, patterns) = random_case(seed);
+        let scalar = Evaluator::new(&nl);
+        let compiled = CompiledNetlist::compile(&nl);
+        for pattern in &patterns {
+            assert_eq!(
+                compiled.outputs(pattern),
+                scalar.outputs(pattern),
+                "seed {seed}, pattern {pattern} (rerun with VCAD_PROP_SEED={seed})"
             );
         }
     }

@@ -111,6 +111,14 @@ impl Module for IpComponentModule {
     fn estimators(&self) -> Vec<Arc<dyn Estimator>> {
         self.estimators.clone()
     }
+
+    fn compiled_twin(&self) -> Option<Arc<dyn Module>> {
+        let twin = self.inner.compiled_twin()?;
+        Some(Arc::new(IpComponentModule::new(
+            twin,
+            self.estimators.clone(),
+        )))
+    }
 }
 
 /// A fully remote component: *every* event is forwarded to the provider
@@ -240,6 +248,70 @@ mod tests {
         assert_eq!(module.name(), "MULT");
         assert_eq!(module.ports().len(), 3);
         assert_eq!(module.ports()[2].width(), 16);
+    }
+
+    #[test]
+    fn gate_level_public_part_forwards_its_compiled_twin() {
+        use vcad_core::stdlib::{CaptureState, PrimaryOutput, VectorInput};
+        use vcad_core::{DesignBuilder, EngineKind, SimulationController};
+
+        let part = PublicPart::new("untestable-demo", 2, Sandbox::for_provider("p"));
+        let estimators: Vec<Arc<dyn Estimator>> =
+            vec![Arc::new(vcad_core::ActivityEstimator::new())];
+        let module = Arc::new(IpComponentModule::new(
+            part.instantiate("U").unwrap(),
+            estimators,
+        ));
+        // One single-bit port per netlist input, then per output.
+        let ports = module.ports().to_vec();
+        let mut b = DesignBuilder::new("ip");
+        let u = b.add_module(module);
+        let mut outs = Vec::new();
+        for (port, spec) in ports.iter().enumerate() {
+            if spec.direction().accepts_input() {
+                let drive = b.add_module(Arc::new(VectorInput::new(
+                    format!("IN{port}"),
+                    (0..8u64)
+                        .map(|t| LogicVec::from_u64(1, (t * 5 + port as u64) >> 1 & 1))
+                        .collect(),
+                )));
+                b.connect(drive, "out", u, spec.name()).unwrap();
+            } else {
+                let o = b.add_module(Arc::new(PrimaryOutput::new(format!("O{port}"), 1)));
+                b.connect(u, spec.name(), o, "in").unwrap();
+                outs.push(o);
+            }
+        }
+        let design = Arc::new(b.build().unwrap());
+
+        let overrides = design.compiled_overrides();
+        assert_eq!(overrides.len(), 1, "the gate-level part offers a twin");
+        let (id, twin) = &overrides[0];
+        assert_eq!(*id, u);
+        assert_eq!(twin.name(), "U");
+        assert_eq!(twin.estimators().len(), 1, "the twin keeps the estimators");
+        assert!(
+            twin.compiled_twin().is_none(),
+            "the twin is already compiled"
+        );
+
+        let event = SimulationController::new(Arc::clone(&design))
+            .record_events()
+            .run()
+            .unwrap();
+        let compiled = SimulationController::new(design)
+            .with_engine(EngineKind::Compiled)
+            .record_events()
+            .run()
+            .unwrap();
+        assert_eq!(event.event_log(), compiled.event_log());
+        assert_eq!(event.events_processed(), compiled.events_processed());
+        for o in outs {
+            assert_eq!(
+                event.module_state::<CaptureState>(o).unwrap().history(),
+                compiled.module_state::<CaptureState>(o).unwrap().history()
+            );
+        }
     }
 
     #[test]
