@@ -16,6 +16,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> tier-1 verify: cargo build --release"
 cargo build --release
 
+echo "==> benchmark build: perfbench/ must compile against the current crate APIs"
+cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> tier-1 verify: cargo test -q"
 cargo test -q
 

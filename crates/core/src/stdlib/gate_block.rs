@@ -1,6 +1,6 @@
 //! Gate-level netlist blocks: mixing gate level into an RTL design.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vcad_engine::{CompiledNetlist, EngineKind, PackedEvaluator, PackedOutputs};
 use vcad_logic::LogicVec;
@@ -178,6 +178,10 @@ struct GateBlock {
     ports: Vec<PortSpec>,
     input_ports: usize,
     compiled: Option<CompiledNetlist>,
+    /// An event block's compilation, made by the first
+    /// [`GateBlock::compiled_twin`] and shared by every later twin, so
+    /// repeated compiled runs compile the netlist once.
+    twin_plan: OnceLock<CompiledNetlist>,
 }
 
 impl GateBlock {
@@ -193,6 +197,7 @@ impl GateBlock {
             ports,
             input_ports,
             compiled: None,
+            twin_plan: OnceLock::new(),
         }
     }
 
@@ -213,17 +218,23 @@ impl GateBlock {
     }
 
     /// A compiled copy, or `None` when this block is already compiled.
+    /// Every twin of one block shares the plan compiled for the first.
     fn compiled_twin(&self) -> Option<GateBlock> {
         if self.compiled.is_some() {
             return None;
         }
-        let twin = GateBlock::new(
+        let compiled = self
+            .twin_plan
+            .get_or_init(|| CompiledNetlist::compile(&self.netlist))
+            .clone();
+        let mut twin = GateBlock::new(
             self.name.clone(),
             Arc::clone(&self.netlist),
             self.ports.clone(),
             self.input_ports,
         );
-        Some(twin.with_engine(EngineKind::Compiled))
+        twin.compiled = Some(compiled);
+        Some(twin)
     }
 
     /// Re-evaluates the netlist on the latched inputs and emits every
@@ -449,6 +460,25 @@ mod tests {
                 assert_runs_identical(&event, &compiled, &outs, &context);
             }
         }
+    }
+
+    #[test]
+    fn twins_share_one_plan_and_reruns_stay_bit_identical() {
+        let bus = wallace_bus_block();
+        let (a, b) = (
+            bus.0.compiled_twin().unwrap(),
+            bus.0.compiled_twin().unwrap(),
+        );
+        let plan = |block: &GateBlock| std::ptr::from_ref(block.compiled.as_ref().unwrap().plan());
+        assert_eq!(plan(&a), plan(&b), "the second twin recompiled the netlist");
+
+        let (d, _, outs) = harness(Arc::new(bus), true);
+        let controller = SimulationController::new(d)
+            .with_engine(EngineKind::Compiled)
+            .record_events();
+        let first = controller.run().unwrap();
+        let second = controller.run().unwrap();
+        assert_runs_identical(&first, &second, &outs, "second compiled run");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use vcad_logic::{Logic, LogicVec, RailWord};
-use vcad_netlist::{ExecPlan, GateId, GateKind, NetId, Netlist, OutputSource};
+use vcad_netlist::{ExecPlan, GateId, GateKind, NetId, Netlist, OutputSource, PlanOp, PlanRun};
 use vcad_obs::{Collector, Counter};
 
 /// Where a [`Force`] overrides the packed value stream.
@@ -353,8 +353,13 @@ impl CompiledNetlist {
 /// scratch (net values, force cells), so reuse one evaluator across
 /// many [`PackedEvaluator::run`] calls to amortize the allocations.
 ///
-/// A pass without forces runs the unforced instantiation of the level
-/// sweep, which tests no force cell at all; the force cells themselves
+/// The sweep walks the plan's [`PlanRun`]s and picks the gate function
+/// once per run: a run of two-input `And`/`Or`/`Nand`/`Nor`/`Xor`/`Xnor`
+/// ops gets a loop of its own, every other kind or arity the per-op
+/// body. A pass without forces runs the unforced instantiation of the
+/// sweep, which tests no force cell at all and reads a two-input run
+/// only through the plan's `(a, b, out)` triplets; a forced pass reads
+/// operands by slot, where pin forces sit. The force cells themselves
 /// are only allocated by the first forced pass. A gate-level block on
 /// the compiled engine keeps one evaluator per scheduler in that
 /// scheduler's state store, so a simulation pays one sweep per
@@ -414,94 +419,58 @@ impl PackedEvaluator {
         }
     }
 
-    /// Loads the primary inputs and sweeps the plan level by level.
+    /// Loads the primary inputs and sweeps the plan run by run.
     /// `FORCED` compiles the force-cell tests in; the unforced
     /// instantiation has none, so it reads only the net values.
     fn sweep<const FORCED: bool>(&mut self, patterns: &PackedPatterns) {
-        let nets_active = FORCED && !self.touched_nets.is_empty();
-        let pins_active = FORCED && !self.touched_pins.is_empty();
+        let plan = &*self.plan;
+        let values = &mut self.values;
+        let forces = ActiveForces {
+            nets: (FORCED && !self.touched_nets.is_empty()).then_some(&self.net_force[..]),
+            pins: (FORCED && !self.touched_pins.is_empty()).then_some(&self.pin_force[..]),
+        };
 
         // Load primary inputs: stem forces first (they replace the raw
         // value, matching the event-driven fault path), then the `Z`→`X`
         // normalization every gate input sees. The forced raw value is
         // kept for primary outputs that alias input nets.
-        for (i, &net) in self.plan.input_nets().iter().enumerate() {
+        for (i, &net) in plan.input_nets().iter().enumerate() {
             let mut w = patterns.raw[i];
-            if nets_active {
-                let cell = self.net_force[net as usize];
-                if cell.mask != 0 {
-                    w = cell.apply(w);
-                }
+            if FORCED {
+                w = forces.net(net as usize, w);
             }
             self.raw_inputs[i] = w;
-            self.values[net as usize] = w.driven();
+            values[net as usize] = w.driven();
         }
 
-        // One pass per level; within a level every op reads only nets
-        // settled by earlier levels, which is what lets a sharded host
-        // hand one compiled plan to each shard.
-        let operands = self.plan.operands();
-        for level in 0..self.plan.level_count() {
-            for op in &self.plan.ops()[self.plan.level(level)] {
-                let range = op.operand_range();
-                let read = |slot: usize| -> RailWord {
-                    let v = self.values[operands[slot] as usize];
-                    if pins_active {
-                        let cell = self.pin_force[slot];
-                        if cell.mask != 0 {
-                            return cell.apply(v);
-                        }
-                    }
-                    v
-                };
-                let mut out = match op.kind() {
-                    GateKind::Const0 => RailWord::splat(Logic::Zero),
-                    GateKind::Const1 => RailWord::splat(Logic::One),
-                    GateKind::Buf => read(range.start),
-                    GateKind::Not => RailWord::invert(read(range.start)),
-                    GateKind::And | GateKind::Nand => {
-                        let mut acc = read(range.start);
-                        for slot in range.start + 1..range.end {
-                            acc = RailWord::and(acc, read(slot));
-                        }
-                        if op.kind() == GateKind::Nand {
-                            acc = RailWord::invert(acc);
-                        }
-                        acc
-                    }
-                    GateKind::Or | GateKind::Nor => {
-                        let mut acc = read(range.start);
-                        for slot in range.start + 1..range.end {
-                            acc = RailWord::or(acc, read(slot));
-                        }
-                        if op.kind() == GateKind::Nor {
-                            acc = RailWord::invert(acc);
-                        }
-                        acc
-                    }
-                    GateKind::Xor | GateKind::Xnor => {
-                        let mut acc = read(range.start);
-                        for slot in range.start + 1..range.end {
-                            acc = RailWord::xor(acc, read(slot));
-                        }
-                        if op.kind() == GateKind::Xnor {
-                            acc = RailWord::invert(acc);
-                        }
-                        acc
-                    }
-                    GateKind::Mux2 => RailWord::mux(
-                        read(range.start),
-                        read(range.start + 1),
-                        read(range.start + 2),
-                    ),
-                };
-                if nets_active {
-                    let cell = self.net_force[op.output()];
-                    if cell.mask != 0 {
-                        out = cell.apply(out);
+        // Runs come level by level; within a level every op reads only
+        // nets settled by earlier levels, which is what lets a sharded
+        // host hand one compiled plan to each shard. The gate function
+        // is picked once per run: two-input runs of the basic kinds get
+        // a loop of their own, everything else the per-op body.
+        for run in plan.runs() {
+            match (run.kind(), run.arity()) {
+                (GateKind::And, 2) => {
+                    binary_run::<FORCED>(plan, run, values, forces, RailWord::and)
+                }
+                (GateKind::Nand, 2) => binary_run::<FORCED>(plan, run, values, forces, |a, b| {
+                    RailWord::invert(RailWord::and(a, b))
+                }),
+                (GateKind::Or, 2) => binary_run::<FORCED>(plan, run, values, forces, RailWord::or),
+                (GateKind::Nor, 2) => binary_run::<FORCED>(plan, run, values, forces, |a, b| {
+                    RailWord::invert(RailWord::or(a, b))
+                }),
+                (GateKind::Xor, 2) => {
+                    binary_run::<FORCED>(plan, run, values, forces, RailWord::xor)
+                }
+                (GateKind::Xnor, 2) => binary_run::<FORCED>(plan, run, values, forces, |a, b| {
+                    RailWord::invert(RailWord::xor(a, b))
+                }),
+                _ => {
+                    for op in &plan.ops()[run.ops()] {
+                        eval_op::<FORCED>(op, plan.operands(), values, forces);
                     }
                 }
-                self.values[op.output()] = out;
             }
         }
     }
@@ -541,6 +510,125 @@ impl PackedEvaluator {
             cell.ones &= !force.lanes;
         }
     }
+}
+
+/// The force cells one pass consults. A side without any force this
+/// pass is `None`, so its cells are never read.
+#[derive(Clone, Copy)]
+struct ActiveForces<'a> {
+    nets: Option<&'a [ForceCell]>,
+    pins: Option<&'a [ForceCell]>,
+}
+
+impl ActiveForces<'_> {
+    /// `w` as seen at net `net`.
+    #[inline]
+    fn net(self, net: usize, w: RailWord) -> RailWord {
+        match self.nets {
+            Some(cells) if cells[net].mask != 0 => cells[net].apply(w),
+            _ => w,
+        }
+    }
+
+    /// `w` as seen through operand slot `slot`.
+    #[inline]
+    fn pin(self, slot: usize, w: RailWord) -> RailWord {
+        match self.pins {
+            Some(cells) if cells[slot].mask != 0 => cells[slot].apply(w),
+            _ => w,
+        }
+    }
+}
+
+/// One run of two-input ops computing `f`. The unforced instantiation
+/// reads only the run's `(a, b, out)` triplets; the forced one reads
+/// operands by slot, the address pin forces use, and forces the output
+/// net.
+#[inline]
+fn binary_run<const FORCED: bool>(
+    plan: &ExecPlan,
+    run: &PlanRun,
+    values: &mut [RailWord],
+    forces: ActiveForces<'_>,
+    f: impl Fn(RailWord, RailWord) -> RailWord,
+) {
+    if FORCED {
+        let operands = plan.operands();
+        for op in &plan.ops()[run.ops()] {
+            let slot = op.operand_range().start;
+            let a = forces.pin(slot, values[operands[slot] as usize]);
+            let b = forces.pin(slot + 1, values[operands[slot + 1] as usize]);
+            values[op.output()] = forces.net(op.output(), f(a, b));
+        }
+    } else {
+        for &[a, b, out] in plan.binary_ops(run) {
+            values[out as usize] = f(values[a as usize], values[b as usize]);
+        }
+    }
+}
+
+/// One op of any kind and arity, operands read by slot.
+#[inline]
+fn eval_op<const FORCED: bool>(
+    op: &PlanOp,
+    operands: &[u32],
+    values: &mut [RailWord],
+    forces: ActiveForces<'_>,
+) {
+    let range = op.operand_range();
+    let read = |slot: usize| -> RailWord {
+        let v = values[operands[slot] as usize];
+        if FORCED {
+            forces.pin(slot, v)
+        } else {
+            v
+        }
+    };
+    let mut out = match op.kind() {
+        GateKind::Const0 => RailWord::splat(Logic::Zero),
+        GateKind::Const1 => RailWord::splat(Logic::One),
+        GateKind::Buf => read(range.start),
+        GateKind::Not => RailWord::invert(read(range.start)),
+        GateKind::And | GateKind::Nand => {
+            let mut acc = read(range.start);
+            for slot in range.start + 1..range.end {
+                acc = RailWord::and(acc, read(slot));
+            }
+            if op.kind() == GateKind::Nand {
+                acc = RailWord::invert(acc);
+            }
+            acc
+        }
+        GateKind::Or | GateKind::Nor => {
+            let mut acc = read(range.start);
+            for slot in range.start + 1..range.end {
+                acc = RailWord::or(acc, read(slot));
+            }
+            if op.kind() == GateKind::Nor {
+                acc = RailWord::invert(acc);
+            }
+            acc
+        }
+        GateKind::Xor | GateKind::Xnor => {
+            let mut acc = read(range.start);
+            for slot in range.start + 1..range.end {
+                acc = RailWord::xor(acc, read(slot));
+            }
+            if op.kind() == GateKind::Xnor {
+                acc = RailWord::invert(acc);
+            }
+            acc
+        }
+        GateKind::Mux2 => RailWord::mux(
+            read(range.start),
+            read(range.start + 1),
+            read(range.start + 2),
+        ),
+    };
+    if FORCED {
+        out = forces.net(op.output(), out);
+    }
+    values[op.output()] = out;
 }
 
 #[cfg(test)]

@@ -25,6 +25,12 @@
 //! no [`Force`] runs a sweep instantiation that tests no force cell, and
 //! an evaluator only allocates force cells when it is first forced.
 //!
+//! The plan groups each level's gates by kind and arity into runs, and
+//! the sweep dispatches once per run: two-input runs of the basic gates
+//! each get a tight loop, which on an unforced pass reads one flat
+//! `(a, b, out)` triplet per gate; buffers, inverters, constants,
+//! multiplexers and wider gates go through one per-op body.
+//!
 //! The engine is differential-tested against the scalar
 //! [`Evaluator`](vcad_netlist::Evaluator) and, downstream, against the
 //! event-driven scheduler: any divergence in outputs, detection tables

@@ -4,14 +4,20 @@
 //! circuit and on vcad-prng-seeded random netlists, over fully
 //! four-valued patterns (`0`, `1`, `X`, `Z`).
 //!
+//! A test-local generator adds circuits that mix every gate kind at
+//! arities 1–4, so the plan's per-kind runs of buffers, constants,
+//! multiplexers and wide gates are swept too, unforced against the
+//! scalar evaluator and forced against the faulty-netlist evaluator.
+//!
 //! Failures print the seed that produced them; rerun just that seed
 //! with `VCAD_PROP_SEED=<seed> cargo test -p vcad-engine --test
 //! differential`.
 
 use vcad_engine::{CompiledNetlist, Force};
+use vcad_faults::{Fault, FaultSite, FaultyEvaluator, StuckAt};
 use vcad_logic::{Logic, LogicVec};
 use vcad_netlist::generators::{self, RandomCircuitSpec};
-use vcad_netlist::{Evaluator, Netlist};
+use vcad_netlist::{Evaluator, GateKind, NetId, Netlist, NetlistBuilder};
 use vcad_prng::Rng;
 
 const SEEDS: [u64; 8] = [3, 7, 21, 34, 55, 89, 144, 4242];
@@ -250,6 +256,142 @@ fn single_pattern_outputs_match_the_scalar_evaluator() {
                 scalar.outputs(pattern),
                 "seed {seed}, pattern {pattern} (rerun with VCAD_PROP_SEED={seed})"
             );
+        }
+    }
+}
+
+/// A seeded circuit drawing every [`GateKind`]: buffers and inverters
+/// take one input, multiplexers three, constants none, and the n-ary
+/// kinds two to four. Inputs come from earlier nets, biased toward
+/// recent ones for depth; the outputs are the last gates plus one
+/// primary input tapped directly.
+fn mixed_circuit(seed: u64) -> Netlist {
+    let mut rng = Rng::seed_from_u64(seed ^ 0x3A11_C1D5);
+    let inputs = rng.gen_range(4usize..16);
+    let gates = rng.gen_range(40usize..220);
+    let mut b = NetlistBuilder::new(format!("mixed_s{seed}"));
+    let mut nets: Vec<NetId> = b.input_bus("pi", inputs);
+    for _ in 0..gates {
+        let kind = GateKind::ALL[rng.gen_range(0..GateKind::ALL.len())];
+        let arity = match kind.arity() {
+            (lo, hi) if lo == hi => lo,
+            (lo, _) => rng.gen_range(lo..5),
+        };
+        let ins: Vec<NetId> = (0..arity)
+            .map(|_| {
+                let lo = nets.len() / 2;
+                if rng.gen_bool(0.7) {
+                    nets[rng.gen_range(lo..nets.len())]
+                } else {
+                    nets[rng.gen_range(0..nets.len())]
+                }
+            })
+            .collect();
+        let out = b.gate(kind, &ins);
+        nets.push(out);
+    }
+    let outputs = rng.gen_range(2usize..12);
+    let mut taps = nets[nets.len() - outputs..].to_vec();
+    taps.push(nets[rng.gen_range(0..inputs)]);
+    b.output_bus("po", &taps);
+    b.build().expect("mixed circuit is structurally valid")
+}
+
+/// Every stuck-at fault of `nl`: both polarities on every net and on
+/// every gate input pin.
+fn every_fault(nl: &Netlist) -> Vec<Fault> {
+    let mut sites: Vec<FaultSite> = nl.nets().map(|(net, _)| FaultSite::Net(net)).collect();
+    for (gate, g) in nl.gates() {
+        sites.extend((0..g.inputs().len()).map(|pin| FaultSite::Pin { gate, pin }));
+    }
+    sites
+        .into_iter()
+        .flat_map(|site| [StuckAt::Zero, StuckAt::One].map(|stuck| Fault::new(site, stuck)))
+        .collect()
+}
+
+fn force_of(fault: &Fault, lanes: u64) -> Force {
+    let stuck_one = fault.stuck == StuckAt::One;
+    match fault.site {
+        FaultSite::Net(net) => Force::net(net, stuck_one, lanes),
+        FaultSite::Pin { gate, pin } => Force::pin(gate, pin, stuck_one, lanes),
+    }
+}
+
+#[test]
+fn mixed_kind_circuits_agree_unforced() {
+    for seed in seeds_under_test() {
+        let nl = mixed_circuit(seed);
+        let kinds: Vec<GateKind> = nl.gates().map(|(_, g)| g.kind()).collect();
+        assert!(
+            GateKind::ALL.iter().all(|k| kinds.contains(k)),
+            "seed {seed}: the generator must place every gate kind"
+        );
+        let mut rng = Rng::seed_from_u64(seed ^ 0x77);
+        let w = nl.input_count();
+        let mut patterns: Vec<LogicVec> = (0..126).map(|_| random_pattern(&mut rng, w)).collect();
+        patterns.push(LogicVec::filled(w, Logic::X));
+        patterns.push(LogicVec::filled(w, Logic::Z));
+        assert_engines_agree(
+            &nl,
+            &patterns,
+            &format!("mixed seed {seed} (rerun with VCAD_PROP_SEED={seed})"),
+        );
+    }
+}
+
+#[test]
+fn mixed_kind_circuits_agree_with_the_faulty_evaluator_under_forces() {
+    for seed in seeds_under_test() {
+        let nl = mixed_circuit(seed);
+        let faults = every_fault(&nl);
+        assert!(
+            faults
+                .iter()
+                .any(|f| matches!(f.site, FaultSite::Pin { pin, .. } if pin >= 2)),
+            "seed {seed}: the fault list must reach pins past the second"
+        );
+        let compiled = CompiledNetlist::compile(&nl);
+        let faulty = FaultyEvaluator::new(&nl);
+        let mut eval = compiled.evaluator();
+        let mut rng = Rng::seed_from_u64(seed ^ 0xFA17);
+        let context = format!("mixed seed {seed} (rerun with VCAD_PROP_SEED={seed})");
+
+        // Transposed layout: one pattern in every lane, one fault per lane.
+        for _ in 0..3 {
+            let pattern = random_pattern(&mut rng, nl.input_count());
+            let packed = compiled.broadcast(&pattern);
+            for group in faults.chunks(64) {
+                let forces: Vec<Force> = group
+                    .iter()
+                    .enumerate()
+                    .map(|(lane, f)| force_of(f, 1 << lane))
+                    .collect();
+                let out = eval.run(&packed, &forces);
+                for (lane, fault) in group.iter().enumerate() {
+                    assert_eq!(
+                        out.lane(lane),
+                        faulty.outputs(fault, &pattern),
+                        "{context}: {fault:?} on pattern {pattern}"
+                    );
+                }
+            }
+        }
+
+        // PPSFP layout: one fault over every lane, one pattern per lane.
+        let patterns: Vec<LogicVec> = (0..64)
+            .map(|_| random_pattern(&mut rng, nl.input_count()))
+            .collect();
+        let packed = compiled.pack(&patterns);
+        for fault in faults.iter().step_by(3) {
+            let out = eval.run(&packed, &[force_of(fault, u64::MAX)]);
+            for (lane, pattern) in patterns.iter().enumerate() {
+                assert_eq!(
+                    out.lane(lane),
+                    faulty.outputs(fault, pattern),
+                    "{context}: {fault:?} on pattern {pattern}"
+                );
+            }
         }
     }
 }

@@ -488,11 +488,7 @@ impl RemoteObject for ComponentObject {
                     .collector()
                     .traced_span("ip", format!("estimate:{method}"));
                 span.arg("patterns", patterns.len());
-                let total: f64 = patterns
-                    .windows(2)
-                    .map(|w| self.toggle.predict_transition(&w[0], &w[1]))
-                    .sum();
-                Ok(Value::F64(total / (patterns.len() - 1) as f64))
+                Ok(Value::F64(self.toggle.average_power(&patterns)))
             }
             component::POWER_PEAK => {
                 let patterns =

@@ -39,4 +39,4 @@ pub use error::NetlistError;
 pub use eval::{Evaluator, NetValues};
 pub use gate::GateKind;
 pub use netlist::{Gate, GateId, Net, NetId, Netlist, NetlistStats};
-pub use plan::{ExecPlan, OutputSource, PlanOp};
+pub use plan::{ExecPlan, OutputSource, PlanOp, PlanRun};

@@ -10,6 +10,13 @@
 //! [`NetId::index`]: no per-gate `Vec`s, no hash lookups, no pointer
 //! chasing through [`Gate`](crate::Gate) structs.
 //!
+//! Within a level the ops are grouped by gate kind and arity, and the
+//! plan records each maximal group as a [`PlanRun`], so an evaluator
+//! picks the gate function once per run instead of once per gate. For
+//! two-input runs the plan also keeps one `(a, b, out)` net triplet per
+//! op ([`ExecPlan::binary_ops`]), the only array a fault-free sweep of
+//! such a run has to read.
+//!
 //! The plan also precomputes the two lookups fault injection needs:
 //! the flat *operand slot* of every `(gate, pin)` pair (so a pin fault
 //! is one masked override at a known index) and, for every primary
@@ -48,6 +55,39 @@ impl PlanOp {
     pub fn operand_range(&self) -> Range<usize> {
         let start = self.first_operand as usize;
         start..start + self.operand_count as usize
+    }
+}
+
+/// A maximal stretch of consecutive ops, all in one level, that share a
+/// gate kind and an input count — the unit an evaluator dispatches on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlanRun {
+    kind: GateKind,
+    arity: u32,
+    start: u32,
+    end: u32,
+    /// Index of the run's first triplet in the plan's binary-op array;
+    /// meaningful only when `arity == 2`.
+    first_binary: u32,
+}
+
+impl PlanRun {
+    /// The logic function every op of the run computes.
+    #[must_use]
+    pub fn kind(&self) -> GateKind {
+        self.kind
+    }
+
+    /// The input count every op of the run has.
+    #[must_use]
+    pub fn arity(&self) -> usize {
+        self.arity as usize
+    }
+
+    /// The run's op range in [`ExecPlan::ops`].
+    #[must_use]
+    pub fn ops(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
     }
 }
 
@@ -90,46 +130,96 @@ pub struct ExecPlan {
     net_count: usize,
     /// Op index of every gate, indexed by [`GateId::index`].
     op_of_gate: Vec<u32>,
+    /// The runs, tiling `ops` in order.
+    runs: Vec<PlanRun>,
+    /// `[a, b, out]` dense net indices of every two-input op, op order.
+    binary: Vec<[u32; 3]>,
 }
 
 impl ExecPlan {
     /// Compiles `netlist` into a levelized plan.
     ///
-    /// Gates are ordered by `(level, GateId)` — a valid topological
-    /// order, since a gate's level strictly exceeds every driver's —
-    /// so the stream is deterministic for a given netlist regardless
-    /// of the builder's Kahn tie-breaking.
+    /// Gates are ordered by `(level, kind, arity, GateId)`. That is a
+    /// valid topological order, since a gate's level strictly exceeds
+    /// every driver's and ops of one level never read each other; and
+    /// the stream is deterministic for a given netlist regardless of the
+    /// builder's Kahn tie-breaking. Each maximal stretch of one level's
+    /// ops sharing a kind and arity becomes one [`PlanRun`]; no run
+    /// crosses a level boundary.
     #[must_use]
     pub fn compile(netlist: &Netlist) -> ExecPlan {
         let gate_count = netlist.gate_count();
-        let mut order: Vec<GateId> = netlist.topo_order().to_vec();
-        order.sort_by_key(|&g| (netlist.gate_level(g), g.index()));
+        // Bucket the gates by level with a counting pass (GateId order
+        // within a bucket), then sort each level by its gates' `(kind,
+        // arity)` keys, computed once; the sort is stable, so GateId
+        // order survives inside a group.
+        let depth = netlist
+            .gates()
+            .map(|(g, _)| netlist.gate_level(g))
+            .max()
+            .unwrap_or(0) as usize;
+        let mut level_bounds = vec![0u32; depth + 1];
+        for (gid, _) in netlist.gates() {
+            level_bounds[netlist.gate_level(gid) as usize] += 1;
+        }
+        for l in 1..=depth {
+            level_bounds[l] += level_bounds[l - 1];
+        }
+        let mut next: Vec<u32> = level_bounds[..depth].to_vec();
+        let mut order = vec![(0u64, 0u32); gate_count];
+        for (gid, gate) in netlist.gates() {
+            let slot = &mut next[netlist.gate_level(gid) as usize - 1];
+            let group = (gate.kind() as u64) << 32 | gate.inputs().len() as u64;
+            order[*slot as usize] = (group, gid.index() as u32);
+            *slot += 1;
+        }
+        for l in 0..depth {
+            order[level_bounds[l] as usize..level_bounds[l + 1] as usize]
+                .sort_by_key(|&(group, _)| group);
+        }
 
         let mut ops = Vec::with_capacity(gate_count);
         let mut operands = Vec::new();
-        let mut level_bounds = vec![0u32];
-        let mut open_level = 1u32;
         let mut op_of_gate = vec![0u32; gate_count];
-        for &gid in &order {
-            let level = netlist.gate_level(gid);
-            // Close levels up to this gate's (empty levels cannot occur:
-            // every level is defined by some gate carrying it).
-            while open_level < level {
-                level_bounds.push(ops.len() as u32);
-                open_level += 1;
+        let mut runs: Vec<PlanRun> = Vec::new();
+        let mut binary = Vec::new();
+        for l in 0..depth {
+            let mut open_group = None;
+            for &(group, gid) in &order[level_bounds[l] as usize..level_bounds[l + 1] as usize] {
+                let gate = netlist.gate(GateId(gid));
+                let op = ops.len() as u32;
+                let arity = gate.inputs().len() as u32;
+                if open_group == Some(group) {
+                    runs.last_mut().expect("an open run").end = op + 1;
+                } else {
+                    open_group = Some(group);
+                    runs.push(PlanRun {
+                        kind: gate.kind(),
+                        arity,
+                        start: op,
+                        end: op + 1,
+                        first_binary: binary.len() as u32,
+                    });
+                }
+                op_of_gate[gid as usize] = op;
+                let first_operand = operands.len() as u32;
+                operands.extend(gate.inputs().iter().map(|n| n.index() as u32));
+                let output = gate.output().index() as u32;
+                if arity == 2 {
+                    binary.push([
+                        operands[first_operand as usize],
+                        operands[first_operand as usize + 1],
+                        output,
+                    ]);
+                }
+                ops.push(PlanOp {
+                    kind: gate.kind(),
+                    output,
+                    first_operand,
+                    operand_count: arity,
+                });
             }
-            let gate = netlist.gate(gid);
-            op_of_gate[gid.index()] = ops.len() as u32;
-            let first_operand = operands.len() as u32;
-            operands.extend(gate.inputs().iter().map(|n| n.index() as u32));
-            ops.push(PlanOp {
-                kind: gate.kind(),
-                output: gate.output().index() as u32,
-                first_operand,
-                operand_count: gate.inputs().len() as u32,
-            });
         }
-        level_bounds.push(ops.len() as u32);
 
         let input_nets: Vec<u32> = netlist.inputs().iter().map(|n| n.index() as u32).collect();
         let outputs = netlist
@@ -153,6 +243,8 @@ impl ExecPlan {
             outputs,
             net_count: netlist.net_count(),
             op_of_gate,
+            runs,
+            binary,
         }
     }
 
@@ -174,7 +266,8 @@ impl ExecPlan {
         self.level_bounds.len() - 1
     }
 
-    /// The compiled instruction stream, level-major.
+    /// The compiled instruction stream, level-major, each level grouped
+    /// by kind and arity (see [`ExecPlan::runs`]).
     #[must_use]
     pub fn ops(&self) -> &[PlanOp] {
         &self.ops
@@ -184,6 +277,24 @@ impl ExecPlan {
     #[must_use]
     pub fn operands(&self) -> &[u32] {
         &self.operands
+    }
+
+    /// The maximal same-kind, same-arity runs, tiling [`ExecPlan::ops`]
+    /// in order; each lies inside one level.
+    #[must_use]
+    pub fn runs(&self) -> &[PlanRun] {
+        &self.runs
+    }
+
+    /// The `[a, b, out]` dense net indices of each op in a two-input
+    /// `run`, op order; empty for a run of any other arity.
+    #[must_use]
+    pub fn binary_ops(&self, run: &PlanRun) -> &[[u32; 3]] {
+        if run.arity != 2 {
+            return &[];
+        }
+        let start = run.first_binary as usize;
+        &self.binary[start..start + run.ops().len()]
     }
 
     /// The op range of level `level` (0-based here; builder level
@@ -298,6 +409,112 @@ mod tests {
         assert_eq!(plan.outputs()[1], OutputSource::Net(y.index()));
     }
 
+    /// Checks the run invariants on `plan`: runs tile the op range in
+    /// order, never cross a level boundary, and every op of a run has
+    /// the run's kind and arity. Each level's ops are grouped by
+    /// `(kind, arity)`: no pair shows up in two runs of one level, which
+    /// also makes every run maximal.
+    fn assert_runs_well_formed(plan: &ExecPlan) {
+        let mut cursor = 0;
+        let mut level = 0;
+        let mut seen: Vec<(GateKind, usize)> = Vec::new();
+        for (k, run) in plan.runs().iter().enumerate() {
+            let ops = run.ops();
+            assert_eq!(ops.start, cursor, "run {k} leaves a gap");
+            assert!(!ops.is_empty(), "run {k} empty");
+            cursor = ops.end;
+            while plan.level(level).end <= ops.start {
+                level += 1;
+                seen.clear();
+            }
+            let bounds = plan.level(level);
+            assert!(
+                bounds.start <= ops.start && ops.end <= bounds.end,
+                "run {k} crosses a level boundary"
+            );
+            assert!(
+                !seen.contains(&(run.kind(), run.arity())),
+                "level {level} holds two {:?}/{} runs",
+                run.kind(),
+                run.arity()
+            );
+            seen.push((run.kind(), run.arity()));
+            for op in &plan.ops()[ops] {
+                assert_eq!(op.kind(), run.kind());
+                assert_eq!(op.operand_range().len(), run.arity());
+            }
+            let triplets = plan.binary_ops(run);
+            if run.arity() == 2 {
+                assert_eq!(triplets.len(), run.ops().len());
+                for (op, &[a, b, out]) in plan.ops()[run.ops()].iter().zip(triplets) {
+                    assert_eq!(&plan.operands()[op.operand_range()], &[a, b]);
+                    assert_eq!(op.output(), out as usize);
+                }
+            } else {
+                assert!(triplets.is_empty());
+            }
+        }
+        assert_eq!(cursor, plan.op_count(), "runs must cover every op");
+    }
+
+    #[test]
+    fn each_level_is_grouped_into_kind_and_arity_runs() {
+        let mut b = NetlistBuilder::new("mixed");
+        let ins = b.input_bus("i", 5);
+        let and2 = b.gate(GateKind::And, &[ins[0], ins[1]]);
+        let and3 = b.gate(GateKind::And, &ins[0..3]);
+        let xor2 = b.gate(GateKind::Xor, &[ins[3], ins[4]]);
+        let buf = b.gate(GateKind::Buf, &[ins[2]]);
+        let one = b.gate(GateKind::Const1, &[]);
+        let and2b = b.gate(GateKind::And, &[ins[2], ins[4]]);
+        let mux = b.gate(GateKind::Mux2, &[and2, and3, xor2]);
+        let nor4 = b.gate(GateKind::Nor, &[buf, one, and2b, ins[0]]);
+        let xor2b = b.gate(GateKind::Xor, &[mux, nor4]);
+        b.output_bus("o", &[xor2b, and2b]);
+        let nl = b.build().unwrap();
+        let plan = ExecPlan::compile(&nl);
+        assert_runs_well_formed(&plan);
+        let shape: Vec<(GateKind, usize, usize)> = plan
+            .runs()
+            .iter()
+            .map(|r| (r.kind(), r.arity(), r.ops().len()))
+            .collect();
+        // Level 1 holds both two-input ANDs in one run, then the
+        // three-input AND, the XOR, the buffer and the constant.
+        assert_eq!(
+            shape,
+            vec![
+                (GateKind::Buf, 1, 1),
+                (GateKind::And, 2, 2),
+                (GateKind::And, 3, 1),
+                (GateKind::Xor, 2, 1),
+                (GateKind::Const1, 0, 1),
+                (GateKind::Nor, 4, 1),
+                (GateKind::Mux2, 3, 1),
+                (GateKind::Xor, 2, 1),
+            ]
+        );
+        for (gid, gate) in nl.gates() {
+            for pin in 0..gate.inputs().len() {
+                let slot = plan.operand_slot(gid, pin).expect("pin exists");
+                assert_eq!(plan.operand_net(slot), gate.inputs()[pin]);
+            }
+        }
+    }
+
+    #[test]
+    fn generator_plans_have_well_formed_runs() {
+        for nl in [
+            generators::c17(),
+            generators::wallace_multiplier(8),
+            generators::alu(4),
+            generators::barrel_shifter(8),
+            generators::carry_select_adder(8, 2),
+        ] {
+            assert_runs_well_formed(&ExecPlan::compile(&nl));
+        }
+    }
+
     #[test]
     fn plan_is_deterministic() {
         let nl = generators::wallace_multiplier(4);
@@ -305,5 +522,6 @@ mod tests {
         let b = ExecPlan::compile(&nl);
         assert_eq!(a.ops(), b.ops());
         assert_eq!(a.operands(), b.operands());
+        assert_eq!(a.runs(), b.runs());
     }
 }

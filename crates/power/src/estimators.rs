@@ -5,9 +5,9 @@ use std::time::Duration;
 
 use vcad_core::{EstimateError, EstimationInput, Estimator, EstimatorInfo, Parameter, Value};
 use vcad_logic::LogicVec;
-use vcad_netlist::Netlist;
+use vcad_netlist::{Evaluator, Netlist};
 
-use crate::model::{pattern_energy, PowerModel};
+use crate::model::{pattern_energy, switched_energy, PowerModel};
 use crate::truth::SiliconReference;
 
 fn concat_ports(snapshot: &[LogicVec], ports: &[usize]) -> LogicVec {
@@ -194,6 +194,8 @@ pub struct TogglePowerEstimator {
     model: PowerModel,
     input_ports: Vec<usize>,
     remote: bool,
+    /// Each net's toggle energy, computed once.
+    energies: Vec<f64>,
 }
 
 impl TogglePowerEstimator {
@@ -206,6 +208,7 @@ impl TogglePowerEstimator {
         remote: bool,
     ) -> TogglePowerEstimator {
         TogglePowerEstimator {
+            energies: model.toggle_energies(&netlist),
             netlist,
             model,
             input_ports,
@@ -214,10 +217,48 @@ impl TogglePowerEstimator {
     }
 
     /// Gate-level power (watts) for one input transition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern's width differs from the netlist's input
+    /// count.
     #[must_use]
     pub fn predict_transition(&self, prev: &LogicVec, next: &LogicVec) -> f64 {
-        self.model
-            .energy_to_power(pattern_energy(&self.netlist, &self.model, prev, next))
+        let eval = Evaluator::new(&self.netlist);
+        self.model.energy_to_power(switched_energy(
+            &self.energies,
+            &eval.eval(prev),
+            &eval.eval(next),
+        ))
+    }
+
+    /// Mean gate-level power (watts) over the transitions of `patterns`,
+    /// evaluating each pattern once: the per-transition powers of
+    /// [`TogglePowerEstimator::predict_transition`], summed in sequence
+    /// order and divided by the transition count. Returns `0.0` for
+    /// fewer than two patterns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern's width differs from the netlist's input
+    /// count.
+    #[must_use]
+    pub fn average_power(&self, patterns: &[LogicVec]) -> f64 {
+        if patterns.len() < 2 {
+            return 0.0;
+        }
+        let eval = Evaluator::new(&self.netlist);
+        let mut prev = eval.eval(&patterns[0]);
+        let total: f64 = patterns[1..]
+            .iter()
+            .map(|pattern| {
+                let next = eval.eval(pattern);
+                let energy = switched_energy(&self.energies, &prev, &next);
+                prev = next;
+                self.model.energy_to_power(energy)
+            })
+            .sum();
+        total / (patterns.len() - 1) as f64
     }
 }
 
@@ -240,11 +281,7 @@ impl Estimator for TogglePowerEstimator {
                 "toggle counting needs at least two buffered patterns".into(),
             ));
         }
-        let total: f64 = patterns
-            .windows(2)
-            .map(|w| self.predict_transition(&w[0], &w[1]))
-            .sum();
-        Ok(Value::F64(total / (patterns.len() - 1) as f64))
+        Ok(Value::F64(self.average_power(&patterns)))
     }
 }
 
@@ -330,6 +367,79 @@ mod tests {
         assert!(avg > 0.0);
         let c = constant.estimate(&input).unwrap().as_f64().unwrap();
         assert!((c - constant.mean_power_w()).abs() < 1e-18);
+    }
+
+    /// The reference: both patterns of every window evaluated and the
+    /// net loads summed again for every transition.
+    fn windows_average(nl: &Netlist, model: &PowerModel, patterns: &[LogicVec]) -> f64 {
+        let total: f64 = patterns
+            .windows(2)
+            .map(|w| {
+                let eval = Evaluator::new(nl);
+                let before = eval.eval(&w[0]);
+                let after = eval.eval(&w[1]);
+                let loads = model.net_loads(nl);
+                let mut energy = 0.0;
+                for (i, load) in loads.iter().enumerate() {
+                    if before.as_slice()[i] != after.as_slice()[i] {
+                        energy += model.toggle_energy(*load);
+                    }
+                }
+                model.energy_to_power(energy)
+            })
+            .sum();
+        total / (patterns.len() - 1) as f64
+    }
+
+    #[test]
+    fn sequence_power_is_bit_identical_to_the_windows_formula() {
+        use vcad_logic::Logic;
+        use vcad_prng::Rng;
+
+        let model = PowerModel::default();
+        for (width, seed) in [(4usize, 1u64), (6, 29), (8, 4242)] {
+            let nl = Arc::new(generators::wallace_multiplier(width));
+            let toggle = TogglePowerEstimator::new(Arc::clone(&nl), model, vec![0], true);
+            let mut rng = Rng::seed_from_u64(seed);
+            for len in [2usize, 3, 5, 17] {
+                let patterns: Vec<LogicVec> = (0..len)
+                    .map(|_| {
+                        LogicVec::from_bits((0..2 * width).map(|_| match rng.gen_range(0u32..10) {
+                            0 => Logic::X,
+                            1 => Logic::Z,
+                            n => Logic::from(n & 1 == 1),
+                        }))
+                    })
+                    .collect();
+                let expect = windows_average(&nl, &model, &patterns).to_bits();
+                let context = format!("width {width}, seed {seed}, {len} patterns");
+                assert_eq!(
+                    toggle.average_power(&patterns).to_bits(),
+                    expect,
+                    "{context}"
+                );
+                let input = EstimationInput::new(
+                    patterns
+                        .iter()
+                        .enumerate()
+                        .map(|(t, p)| PortSnapshot {
+                            time: SimTime::new(t as u64),
+                            ports: vec![p.clone()],
+                        })
+                        .collect(),
+                );
+                let estimated = toggle.estimate(&input).unwrap().as_f64().unwrap();
+                assert_eq!(estimated.to_bits(), expect, "{context}: estimate");
+                let one = windows_average(&nl, &model, &patterns[..2]);
+                assert_eq!(
+                    toggle
+                        .predict_transition(&patterns[0], &patterns[1])
+                        .to_bits(),
+                    one.to_bits(),
+                    "{context}: one transition"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The capacitance-weighted toggle-count power model.
 
 use vcad_logic::LogicVec;
-use vcad_netlist::{Evaluator, Netlist};
+use vcad_netlist::{Evaluator, NetValues, Netlist};
 
 /// Electrical parameters of the toggle-count model.
 ///
@@ -52,6 +52,16 @@ impl PowerModel {
         loads
     }
 
+    /// The energy of one toggle on every net, in joules, indexed by
+    /// [`NetId::index`](vcad_netlist::NetId::index).
+    #[must_use]
+    pub(crate) fn toggle_energies(&self, netlist: &Netlist) -> Vec<f64> {
+        self.net_loads(netlist)
+            .into_iter()
+            .map(|load| self.toggle_energy(load))
+            .collect()
+    }
+
     /// Converts a per-pattern energy (joules) to power (watts) at the
     /// model's clock rate.
     #[must_use]
@@ -79,13 +89,20 @@ pub fn pattern_energy(
     next: &LogicVec,
 ) -> f64 {
     let eval = Evaluator::new(netlist);
-    let before = eval.eval(prev);
-    let after = eval.eval(next);
-    let loads = model.net_loads(netlist);
+    switched_energy(
+        &model.toggle_energies(netlist),
+        &eval.eval(prev),
+        &eval.eval(next),
+    )
+}
+
+/// The energy of the nets whose value differs between `before` and
+/// `after`, given each net's toggle energy; summed in net-index order.
+pub(crate) fn switched_energy(energies: &[f64], before: &NetValues, after: &NetValues) -> f64 {
     let mut energy = 0.0;
-    for (i, load) in loads.iter().enumerate() {
+    for (i, toggle) in energies.iter().enumerate() {
         if before.as_slice()[i] != after.as_slice()[i] {
-            energy += model.toggle_energy(*load);
+            energy += toggle;
         }
     }
     energy
